@@ -552,7 +552,7 @@ def _validate_code(
     if result.exit_code != 0:
         return (ValidationStatus.RUNTIME_ERROR, None, result.wall_time_ns)
     try:
-        timing = collect_timing(result)
+        timing = collect_timing(result, config.timing_repeats)
         candidate_ckpt = ckpt.read_checkpoint_file(
             scratch / output_checkpoint_name(ctx.manifest.section_id)
         )

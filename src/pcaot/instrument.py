@@ -1,7 +1,11 @@
 """C source generation: capture rewrites and standalone replay drivers.
 
 Two generators share one inlined helper block that reads and writes the
-checkpoint wire format without any external dependency:
+checkpoint wire format without any external dependency.  The helpers move
+each header field and each payload in bulk, with one fwrite/fread in host
+byte order, so they match the little-endian wire only on a little-endian
+host; on a big-endian host they exit with a "pcaot:" message before
+touching a checkpoint.  The generators:
 
 * generate_capture_program rewrites the original program so that running it
   dumps the section's live-in state right after the start pragma and its
@@ -54,7 +58,7 @@ class GeneratedSource:
     text: str
 
 
-_HELPERS = r'''/* pcaot checkpoint I/O helpers (generated; little-endian wire format) */
+_HELPERS = r'''/* pcaot checkpoint I/O helpers (generated; little-endian wire, host-order bulk I/O) */
 #include <stdio.h>
 #include <stdlib.h>
 #include <stdint.h>
@@ -65,84 +69,50 @@ static void pcaot_die(const char *msg) {
     exit(3);
 }
 
-static void pcaot_put_le(FILE *f, uint64_t value, int nbytes) {
-    int i;
-    for (i = 0; i < nbytes; i++) {
-        if (fputc((int)((value >> (8 * i)) & 0xFFu), f) == EOF) pcaot_die("checkpoint write failed");
-    }
+/* Fields and payloads move in host order: the wire's order on little-endian hosts only. */
+static FILE *pcaot_fopen(const char *path, const char *mode, const char *fail_msg) {
+    const uint16_t one = 1;
+    FILE *f;
+    if (*(const uint8_t *)&one != 1) pcaot_die("checkpoints need a little-endian host");
+    f = fopen(path, mode);
+    if (f == NULL) pcaot_die(fail_msg);
+    return f;
 }
 
-static uint64_t pcaot_get_le(FILE *f, int nbytes) {
-    uint64_t value = 0;
-    int i, c;
-    for (i = 0; i < nbytes; i++) {
-        c = fgetc(f);
-        if (c == EOF) pcaot_die("checkpoint truncated");
-        value |= (uint64_t)(c & 0xFF) << (8 * i);
-    }
-    return value;
+static void pcaot_write(FILE *f, const void *data, size_t nbytes) {
+    if (nbytes > 0 && fwrite(data, 1, nbytes, f) != nbytes) pcaot_die("checkpoint write failed");
+}
+
+static void pcaot_read(FILE *f, void *data, size_t nbytes) {
+    if (nbytes > 0 && fread(data, 1, nbytes, f) != nbytes) pcaot_die("checkpoint truncated");
+}
+
+static size_t pcaot_payload_bytes(int tag, int rank, const uint64_t *extents) {
+    static const size_t elem_size[5] = {1, 4, 8, 4, 8}; /* by tag: i8, i32, i64, f32, f64 */
+    uint64_t count = 1;
+    int i;
+    if (tag < 0 || tag > 4) pcaot_die("unknown element type tag");
+    for (i = 0; i < rank; i++) count *= extents[i];
+    return (size_t)count * elem_size[tag];
 }
 
 static FILE *pcaot_ckpt_begin(const char *path, uint32_t record_count) {
-    FILE *f = fopen(path, "wb");
-    if (f == NULL) pcaot_die("cannot create checkpoint file");
-    if (fwrite("PCAO", 1, 4, f) != 4) pcaot_die("checkpoint write failed");
-    pcaot_put_le(f, 1u, 4);
-    pcaot_put_le(f, record_count, 4);
+    const uint32_t version_count[2] = {1u, record_count};
+    FILE *f = pcaot_fopen(path, "wb", "cannot create checkpoint file");
+    pcaot_write(f, "PCAO", 4);
+    pcaot_write(f, version_count, 8);
     return f;
 }
 
 static void pcaot_ckpt_put(FILE *f, const char *name, int tag, int rank,
                            const uint64_t *extents, const void *data) {
-    size_t name_len = strlen(name);
-    uint64_t count = 1;
-    uint64_t k;
-    int i;
-    pcaot_put_le(f, (uint64_t)name_len, 2);
-    if (name_len > 0 && fwrite(name, 1, name_len, f) != name_len) pcaot_die("checkpoint write failed");
-    pcaot_put_le(f, (uint64_t)tag, 1);
-    pcaot_put_le(f, (uint64_t)rank, 1);
-    for (i = 0; i < rank; i++) {
-        pcaot_put_le(f, extents[i], 8);
-        count *= extents[i];
-    }
-    switch (tag) {
-    case 0: {
-        const int8_t *p = (const int8_t *)data;
-        for (k = 0; k < count; k++) pcaot_put_le(f, (uint64_t)(uint8_t)p[k], 1);
-        break;
-    }
-    case 1: {
-        const int32_t *p = (const int32_t *)data;
-        for (k = 0; k < count; k++) pcaot_put_le(f, (uint64_t)(uint32_t)p[k], 4);
-        break;
-    }
-    case 2: {
-        const int64_t *p = (const int64_t *)data;
-        for (k = 0; k < count; k++) pcaot_put_le(f, (uint64_t)p[k], 8);
-        break;
-    }
-    case 3: {
-        const float *p = (const float *)data;
-        for (k = 0; k < count; k++) {
-            uint32_t bits;
-            memcpy(&bits, &p[k], 4);
-            pcaot_put_le(f, (uint64_t)bits, 4);
-        }
-        break;
-    }
-    case 4: {
-        const double *p = (const double *)data;
-        for (k = 0; k < count; k++) {
-            uint64_t bits;
-            memcpy(&bits, &p[k], 8);
-            pcaot_put_le(f, bits, 8);
-        }
-        break;
-    }
-    default:
-        pcaot_die("unknown element type tag");
-    }
+    const uint16_t name_len = (uint16_t)strlen(name);
+    const uint8_t tag_rank[2] = {(uint8_t)tag, (uint8_t)rank};
+    pcaot_write(f, &name_len, 2);
+    pcaot_write(f, name, name_len);
+    pcaot_write(f, tag_rank, 2);
+    pcaot_write(f, extents, 8 * (size_t)rank);
+    pcaot_write(f, data, pcaot_payload_bytes(tag, rank, extents));
 }
 
 static void pcaot_ckpt_end(FILE *f) {
@@ -151,83 +121,43 @@ static void pcaot_ckpt_end(FILE *f) {
 }
 
 static FILE *pcaot_ckpt_open(const char *path, uint32_t expect_records) {
-    FILE *f = fopen(path, "rb");
-    char magic[4];
-    if (f == NULL) pcaot_die("cannot open checkpoint file");
-    if (fread(magic, 1, 4, f) != 4 || memcmp(magic, "PCAO", 4) != 0) pcaot_die("bad checkpoint magic");
-    if (pcaot_get_le(f, 4) != 1u) pcaot_die("unsupported checkpoint version");
-    if ((uint32_t)pcaot_get_le(f, 4) != expect_records) pcaot_die("unexpected checkpoint record count");
+    FILE *f = pcaot_fopen(path, "rb", "cannot open checkpoint file");
+    uint32_t word;
+    if (fread(&word, 1, 4, f) != 4 || memcmp(&word, "PCAO", 4) != 0) pcaot_die("bad checkpoint magic");
+    pcaot_read(f, &word, 4);
+    if (word != 1u) pcaot_die("unsupported checkpoint version");
+    pcaot_read(f, &word, 4);
+    if (word != expect_records) pcaot_die("unexpected checkpoint record count");
     return f;
 }
 
 static void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
                            const uint64_t *extents, void *data) {
     char rec_name[256];
-    uint64_t name_len = pcaot_get_le(f, 2);
-    uint64_t count = 1;
-    uint64_t k;
+    uint16_t name_len;
+    uint8_t tag_rank[2];
+    uint64_t extent;
     int i;
+    pcaot_read(f, &name_len, 2);
     if (name_len >= sizeof(rec_name)) pcaot_die("checkpoint variable name too long");
-    if (name_len > 0 && fread(rec_name, 1, (size_t)name_len, f) != (size_t)name_len) pcaot_die("checkpoint truncated");
-    rec_name[name_len] = '\0';
-    if (strcmp(rec_name, name) != 0) pcaot_die("checkpoint variable order mismatch");
-    if ((int)pcaot_get_le(f, 1) != tag) pcaot_die("checkpoint element type mismatch");
-    if ((int)pcaot_get_le(f, 1) != rank) pcaot_die("checkpoint rank mismatch");
+    pcaot_read(f, rec_name, name_len);
+    if (name_len != strlen(name) || memcmp(rec_name, name, name_len) != 0) pcaot_die("checkpoint variable order mismatch");
+    pcaot_read(f, tag_rank, 2);
+    if (tag_rank[0] != tag) pcaot_die("checkpoint element type mismatch");
+    if (tag_rank[1] != rank) pcaot_die("checkpoint rank mismatch");
     for (i = 0; i < rank; i++) {
-        if (pcaot_get_le(f, 8) != extents[i]) pcaot_die("checkpoint extent mismatch");
-        count *= extents[i];
+        pcaot_read(f, &extent, 8);
+        if (extent != extents[i]) pcaot_die("checkpoint extent mismatch");
     }
-    switch (tag) {
-    case 0: {
-        int8_t *p = (int8_t *)data;
-        for (k = 0; k < count; k++) p[k] = (int8_t)(uint8_t)pcaot_get_le(f, 1);
-        break;
-    }
-    case 1: {
-        int32_t *p = (int32_t *)data;
-        for (k = 0; k < count; k++) p[k] = (int32_t)(uint32_t)pcaot_get_le(f, 4);
-        break;
-    }
-    case 2: {
-        int64_t *p = (int64_t *)data;
-        for (k = 0; k < count; k++) p[k] = (int64_t)pcaot_get_le(f, 8);
-        break;
-    }
-    case 3: {
-        float *p = (float *)data;
-        for (k = 0; k < count; k++) {
-            uint32_t bits = (uint32_t)pcaot_get_le(f, 4);
-            float v;
-            memcpy(&v, &bits, 4);
-            p[k] = v;
-        }
-        break;
-    }
-    case 4: {
-        double *p = (double *)data;
-        for (k = 0; k < count; k++) {
-            uint64_t bits = pcaot_get_le(f, 8);
-            double v;
-            memcpy(&v, &bits, 8);
-            p[k] = v;
-        }
-        break;
-    }
-    default:
-        pcaot_die("unknown element type tag");
-    }
+    pcaot_read(f, data, pcaot_payload_bytes(tag, rank, extents));
 }
 
 static void pcaot_ckpt_close(FILE *f) {
     if (fgetc(f) != 0xFF) pcaot_die("checkpoint missing terminator");
+    if (fgetc(f) != EOF) pcaot_die("trailing bytes after terminator");
     fclose(f);
 }
 /* end pcaot helpers */'''
-
-
-def emit_helpers() -> str:
-    """The self-contained C checkpoint reader/writer block."""
-    return _HELPERS
 
 
 def _ctype(var: VariableSpec) -> str:
@@ -242,33 +172,19 @@ def _data_expr(var: VariableSpec) -> str:
     return f"&({var.name})" if var.is_scalar else f"({var.name})"
 
 
-def _put_lines(var: VariableSpec, file_var: str, indent: str) -> list[str]:
+def _ckpt_call_lines(call: str, cast: str, var: VariableSpec, indent: str) -> list[str]:
+    # A pcaot_ckpt_put or pcaot_ckpt_get call on pcaot_f; cast is its data pointer type.
     tag = TYPE_TAGS[var.elem_type]
     if var.is_scalar:
         return [
-            f"{indent}pcaot_ckpt_put({file_var}, \"{var.name}\", {tag}, 0, "
-            f"(const uint64_t *)0, (const void *){_data_expr(var)});"
+            f"{indent}{call}(pcaot_f, \"{var.name}\", {tag}, 0, "
+            f"(const uint64_t *)0, ({cast}){_data_expr(var)});"
         ]
     exts = ", ".join(f"{e}ull" for e in var.extents)
     return [
         f"{indent}{{ uint64_t pcaot_ext[] = {{ {exts} }}; "
-        f"pcaot_ckpt_put({file_var}, \"{var.name}\", {tag}, {len(var.extents)}, "
-        f"pcaot_ext, (const void *){_data_expr(var)}); }}"
-    ]
-
-
-def _get_lines(var: VariableSpec, file_var: str, indent: str) -> list[str]:
-    tag = TYPE_TAGS[var.elem_type]
-    if var.is_scalar:
-        return [
-            f"{indent}pcaot_ckpt_get({file_var}, \"{var.name}\", {tag}, 0, "
-            f"(const uint64_t *)0, (void *){_data_expr(var)});"
-        ]
-    exts = ", ".join(f"{e}ull" for e in var.extents)
-    return [
-        f"{indent}{{ uint64_t pcaot_ext[] = {{ {exts} }}; "
-        f"pcaot_ckpt_get({file_var}, \"{var.name}\", {tag}, {len(var.extents)}, "
-        f"pcaot_ext, (void *){_data_expr(var)}); }}"
+        f"{call}(pcaot_f, \"{var.name}\", {tag}, {len(var.extents)}, "
+        f"pcaot_ext, ({cast}){_data_expr(var)}); }}"
     ]
 
 
@@ -277,7 +193,7 @@ def _dump_block(variables: tuple[VariableSpec, ...], path: str, label: str, inde
     inner = indent + "    "
     lines.append(f"{inner}FILE *pcaot_f = pcaot_ckpt_begin(\"{path}\", {len(variables)}u);")
     for var in variables:
-        lines.extend(_put_lines(var, "pcaot_f", inner))
+        lines.extend(_ckpt_call_lines("pcaot_ckpt_put", "const void *", var, inner))
     lines.append(f"{inner}pcaot_ckpt_end(pcaot_f);")
     lines.append(f"{indent}}}")
     return lines
@@ -419,7 +335,7 @@ def generate_replay_driver(
             f"{len(manifest.inputs)}u);"
         )
         for var in manifest.inputs:
-            lines.extend(_get_lines(var, "pcaot_f", "            "))
+            lines.extend(_ckpt_call_lines("pcaot_ckpt_get", "void *", var, "            "))
         lines.append("            pcaot_ckpt_close(pcaot_f);")
         lines.append("        }")
     pure_out = tuple(v for v in manifest.variables if v.direction == "out")

@@ -52,7 +52,7 @@ class SpawnFailure(PcaotError):
 
 
 class NoTimingLines(PcaotError):
-    """A run produced no PCAOT_TIME_NS lines to collect."""
+    """A run produced no PCAOT_TIME_NS lines, or not as many as expected."""
 
 
 @dataclass(frozen=True)
@@ -193,11 +193,21 @@ def run(
     )
 
 
-def collect_timing(result: RunResult) -> TimingSample:
-    """Parse PCAOT_TIME_NS lines from a successful run's stdout."""
+def collect_timing(result: RunResult, expected: int | None = None) -> TimingSample:
+    """Parse PCAOT_TIME_NS lines from a successful run's stdout.
+
+    expected is the number of timed repeats the driver was generated with.
+    Any other count raises NoTimingLines: a body that prints timing lines of
+    its own must not pass them off as measurements.  Without expected, any
+    nonzero count is accepted.
+    """
     if result.exit_code != 0:
         raise ValueError("collect_timing needs a run that exited 0")
     samples = tuple(int(m) for m in _TIMING_RE.findall(result.stdout))
     if not samples:
         raise NoTimingLines("run produced no PCAOT_TIME_NS lines")
+    if expected is not None and len(samples) != expected:
+        raise NoTimingLines(
+            f"run produced {len(samples)} PCAOT_TIME_NS lines, expected {expected}"
+        )
     return TimingSample.from_samples(samples)

@@ -379,6 +379,38 @@ def test_timeout_status(tmp_path):
     assert statuses[("mock", "IP")] is ValidationStatus.TIMEOUT
 
 
+# Correct result, but each repeat also prints nine fake 1 ns timing lines.
+FORGED_TIMING = (
+    "```c\n"
+    "    total = 0.0;\n"
+    "    for (i = 0; i < 512; i++) {\n"
+    "        total += v[i];\n"
+    "    }\n"
+    "    { int k; for (k = 0; k < 9; k++) printf(\"PCAOT_TIME_NS 1\\n\"); }\n"
+    "```"
+)
+
+
+@needs_gcc
+def test_forged_timing_lines_are_not_a_pass(tmp_path):
+    job = _write_section(tmp_path)
+    mock = CountingMock("mock", {"tiny": FORGED_TIMING})
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(mock,),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=3,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    by_key = {(r.tool, r.strategy): r for r in records}
+    assert by_key[("serial", None)].status is ValidationStatus.PASS
+    forged = by_key[("mock", "IP")]
+    assert forged.status is not ValidationStatus.PASS
+    assert forged.speedup is None
+
+
 def test_produce_candidates_without_sources_skips(tmp_path):
     config = CampaignConfig(sections=(_job(tmp_path),), llm_backends=(_mock(),))
     rows = produce_candidates(config, tmp_path / "out")

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcaot.checkpoint import (
+    Checkpoint,
     ComparisonStatus,
     Tolerance,
+    VarRecord,
     compare,
+    encode,
     read_checkpoint_file,
 )
 from pcaot.instrument import (
@@ -297,3 +300,75 @@ def test_array_roundtrip_with_inout(workdir):
     replayed = read_checkpoint_file(workdir / "drv" / output_checkpoint_name("sec"))
     report = compare(outgoing, replayed, manifest, Tolerance(abs=0.0, rel=0.0))
     assert report.status is ComparisonStatus.PASS
+
+
+REJECT_MANIFEST = manifest_of(
+    VariableSpec("grid", "f64", (3, 4), "inout"),
+    VariableSpec("n", "i32", (), "in"),
+)
+
+
+def _reject_input(grid_name="grid", grid_type="f64", grid_extents=(3, 4), records=2, version=1):
+    grid = VarRecord.from_values(
+        grid_name, grid_type, np.arange(12).reshape(grid_extents), extents=grid_extents
+    )
+    n = VarRecord.from_values("n", "i32", 7)
+    return encode(Checkpoint(records=(grid, n)[:records], version=version))
+
+
+_GOOD_INPUT = _reject_input()
+
+# Malformed input checkpoints and the message the C reader must die with.
+REJECTIONS = {
+    "truncated": (_GOOD_INPUT[:-5], "checkpoint truncated"),
+    "bad_magic": (b"PCAX" + _GOOD_INPUT[4:], "bad checkpoint magic"),
+    "version_2": (_reject_input(version=2), "unsupported checkpoint version"),
+    "record_count": (_reject_input(records=1), "unexpected checkpoint record count"),
+    "wrong_name": (_reject_input(grid_name="grix"), "checkpoint variable order mismatch"),
+    "wrong_type": (_reject_input(grid_type="f32"), "checkpoint element type mismatch"),
+    "wrong_extents": (_reject_input(grid_extents=(4, 3)), "checkpoint extent mismatch"),
+    "no_terminator": (_GOOD_INPUT[:-1], "checkpoint missing terminator"),
+    "trailing_bytes": (_GOOD_INPUT + b"\x00", "trailing bytes after terminator"),
+}
+
+
+@pytest.fixture(scope="module")
+def reject_driver(tmp_path_factory):
+    driver = generate_replay_driver("grid[0][0] += n;", REJECT_MANIFEST, timing_repeats=1)
+    return build(driver, BuildSpec(workdir=tmp_path_factory.mktemp("reject")))
+
+
+@needs_gcc
+def test_driver_accepts_well_formed_input(reject_driver):
+    (reject_driver.parent / input_checkpoint_name("sec")).write_bytes(_GOOD_INPUT)
+    result = run(reject_driver, timeout_s=60.0)
+    assert result.exit_code == 0, result.stderr
+    out = read_checkpoint_file(reject_driver.parent / output_checkpoint_name("sec"))
+    assert out.record("grid").values()[0, 0] == 7.0
+
+
+@needs_gcc
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_driver_rejects_malformed_input(reject_driver, case):
+    data, message = REJECTIONS[case]
+    (reject_driver.parent / input_checkpoint_name("sec")).write_bytes(data)
+    result = run(reject_driver, timeout_s=60.0)
+    assert result.exit_code == 3, (result.exit_code, result.stderr)
+    assert result.stderr.strip() == f"pcaot: {message}"
+    assert "PCAOT_TIME_NS" not in result.stdout
+
+
+@needs_gcc
+def test_driver_helpers_compile_without_warnings(workdir):
+    # Every element type, read and written: the whole helper block is used.
+    manifest = manifest_of(
+        VariableSpec("a", "i8", (4,), "in"),
+        VariableSpec("b", "i32", (2, 3), "inout"),
+        VariableSpec("c", "i64", (), "inout"),
+        VariableSpec("d", "f32", (5,), "out"),
+        VariableSpec("e", "f64", (), "out"),
+    )
+    body = "d[0] = (float)a[0]; e = (double)(b[1][2] + c);"
+    driver = generate_replay_driver(body, manifest, timing_repeats=2)
+    spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
+    assert build(driver, spec).is_file()

@@ -199,6 +199,14 @@ def test_collect_timing_requires_lines():
         collect_timing(_result("no timing here\n"))
 
 
+def test_collect_timing_requires_expected_count():
+    stdout = "PCAOT_TIME_NS 5\nPCAOT_TIME_NS 6\n"
+    assert collect_timing(_result(stdout), expected=2).samples_ns == (5, 6)
+    for expected in (1, 3):
+        with pytest.raises(NoTimingLines):
+            collect_timing(_result(stdout), expected=expected)
+
+
 def test_collect_timing_ignores_malformed_lines():
     timing = collect_timing(_result("PCAOT_TIME_NS x\nPCAOT_TIME_NS 5\nPCAOT_TIME_NS -2\n"))
     assert timing.samples_ns == (5,)
