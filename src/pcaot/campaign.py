@@ -12,6 +12,8 @@ subcommands and by run):
     sections/<id>/capture/      instrumented program + reference checkpoints
     sections/<id>/serial/       serial baseline driver scratch
     sections/<id>/candidates/<tool>__<strategy>__<attempt>/
+    pcaot_helpers.c             checkpoint helpers every driver.c links with;
+                                compile the two together to rebuild a driver
     candidates.jsonl            produced candidate code + raw responses
     records.jsonl               one outcome record per line, appended as
                                 validation progresses (resume skips done work)
@@ -45,6 +47,7 @@ from .backends import (
 from .checkpoint import ComparisonStatus, Tolerance
 from .errors import ParseError, PcaotError
 from .instrument import (
+    HELPER_SOURCE,
     generate_capture_program,
     generate_replay_driver,
     input_checkpoint_name,
@@ -611,6 +614,7 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {outdir}: {exc}") from exc
     experiment = plan(config)
+    _write_text(outdir / "pcaot_helpers.c", HELPER_SOURCE)
     records_path = outdir / "records.jsonl"
     existing = {
         (r.section_id, r.tool, r.strategy, r.attempt): r

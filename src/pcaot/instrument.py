@@ -1,11 +1,15 @@
 """C source generation: capture rewrites and standalone replay drivers.
 
-Two generators share one inlined helper block that reads and writes the
-checkpoint wire format without any external dependency.  The helpers move
-each header field and each payload in bulk, with one fwrite/fread in host
-byte order, so they match the little-endian wire only on a little-endian
-host; on a big-endian host they exit with a "pcaot:" message before
-touching a checkpoint.  The generators:
+Two generators share one helper block that reads and writes the checkpoint
+wire format without any external dependency.  The helpers move each header
+field and each payload in bulk, with one fwrite/fread in host byte order,
+so they match the little-endian wire only on a little-endian host; on a
+big-endian host they exit with a "pcaot:" message before touching a
+checkpoint.  A capture inlines a static copy of the block, so it stays a
+self-contained, insertion-only rewrite.  A replay driver only declares the
+helpers (HELPER_DECLS) and is linked with one shared object compiled from
+HELPER_SOURCE (runner.build), so the block is not re-optimised for every
+version.  The generators:
 
 * generate_capture_program rewrites the original program so that running it
   dumps the section's live-in state right after the start pragma and its
@@ -51,20 +55,29 @@ class SourceKind(Enum):
 
 @dataclass(frozen=True)
 class GeneratedSource:
-    """A self-contained generated C translation unit."""
+    """A generated C translation unit.
+
+    A capture program is self-contained; a replay driver needs the helper
+    object compiled from HELPER_SOURCE at link time.
+    """
 
     kind: SourceKind
     section_id: str
     text: str
 
 
-_HELPERS = r'''/* pcaot checkpoint I/O helpers (generated; little-endian wire, host-order bulk I/O) */
-#include <stdio.h>
+_INCLUDES = """#include <stdio.h>
 #include <stdlib.h>
 #include <stdint.h>
-#include <string.h>
+#include <string.h>"""
 
-static void pcaot_die(const char *msg) {
+_HELPERS = r'''/* pcaot checkpoint I/O helpers (generated; little-endian wire, host-order bulk I/O) */
+''' + _INCLUDES + r'''
+#ifndef PCAOT_API
+#define PCAOT_API static
+#endif
+
+PCAOT_API void pcaot_die(const char *msg) {
     fprintf(stderr, "pcaot: %s\n", msg);
     exit(3);
 }
@@ -96,7 +109,7 @@ static size_t pcaot_payload_bytes(int tag, int rank, const uint64_t *extents) {
     return (size_t)count * elem_size[tag];
 }
 
-static FILE *pcaot_ckpt_begin(const char *path, uint32_t record_count) {
+PCAOT_API FILE *pcaot_ckpt_begin(const char *path, uint32_t record_count) {
     const uint32_t version_count[2] = {1u, record_count};
     FILE *f = pcaot_fopen(path, "wb", "cannot create checkpoint file");
     pcaot_write(f, "PCAO", 4);
@@ -104,8 +117,8 @@ static FILE *pcaot_ckpt_begin(const char *path, uint32_t record_count) {
     return f;
 }
 
-static void pcaot_ckpt_put(FILE *f, const char *name, int tag, int rank,
-                           const uint64_t *extents, const void *data) {
+PCAOT_API void pcaot_ckpt_put(FILE *f, const char *name, int tag, int rank,
+                              const uint64_t *extents, const void *data) {
     const uint16_t name_len = (uint16_t)strlen(name);
     const uint8_t tag_rank[2] = {(uint8_t)tag, (uint8_t)rank};
     pcaot_write(f, &name_len, 2);
@@ -115,12 +128,12 @@ static void pcaot_ckpt_put(FILE *f, const char *name, int tag, int rank,
     pcaot_write(f, data, pcaot_payload_bytes(tag, rank, extents));
 }
 
-static void pcaot_ckpt_end(FILE *f) {
+PCAOT_API void pcaot_ckpt_end(FILE *f) {
     if (fputc(0xFF, f) == EOF) pcaot_die("checkpoint write failed");
     if (fclose(f) != 0) pcaot_die("checkpoint close failed");
 }
 
-static FILE *pcaot_ckpt_open(const char *path, uint32_t expect_records) {
+PCAOT_API FILE *pcaot_ckpt_open(const char *path, uint32_t expect_records) {
     FILE *f = pcaot_fopen(path, "rb", "cannot open checkpoint file");
     uint32_t word;
     if (fread(&word, 1, 4, f) != 4 || memcmp(&word, "PCAO", 4) != 0) pcaot_die("bad checkpoint magic");
@@ -131,8 +144,8 @@ static FILE *pcaot_ckpt_open(const char *path, uint32_t expect_records) {
     return f;
 }
 
-static void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
-                           const uint64_t *extents, void *data) {
+PCAOT_API void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
+                              const uint64_t *extents, void *data) {
     char rec_name[256];
     uint16_t name_len;
     uint8_t tag_rank[2];
@@ -152,12 +165,27 @@ static void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
     pcaot_read(f, data, pcaot_payload_bytes(tag, rank, extents));
 }
 
-static void pcaot_ckpt_close(FILE *f) {
+PCAOT_API void pcaot_ckpt_close(FILE *f) {
     if (fgetc(f) != 0xFF) pcaot_die("checkpoint missing terminator");
     if (fgetc(f) != EOF) pcaot_die("trailing bytes after terminator");
     fclose(f);
 }
 /* end pcaot helpers */'''
+
+# The helper object's translation unit: the block with external linkage.
+HELPER_SOURCE = "#define PCAOT_API\n" + _HELPERS + "\n"
+
+# What a replay driver sees of the helpers; drivers link the helper object.
+HELPER_DECLS = _INCLUDES + """
+void pcaot_die(const char *msg);
+FILE *pcaot_ckpt_begin(const char *path, uint32_t record_count);
+void pcaot_ckpt_put(FILE *f, const char *name, int tag, int rank,
+                    const uint64_t *extents, const void *data);
+void pcaot_ckpt_end(FILE *f);
+FILE *pcaot_ckpt_open(const char *path, uint32_t expect_records);
+void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
+                    const uint64_t *extents, void *data);
+void pcaot_ckpt_close(FILE *f);"""
 
 
 def _ctype(var: VariableSpec) -> str:
@@ -303,7 +331,8 @@ def generate_replay_driver(
     state, times only the body with CLOCK_MONOTONIC, writes the output
     checkpoint after the final repeat, then prints one timing line per
     repeat.  support_code is inserted at file scope for bodies that call
-    helper functions.
+    helper functions.  The checkpoint helpers are only declared; link the
+    object compiled from HELPER_SOURCE (runner.build does).
     """
     if timing_repeats < 1:
         raise ValueError("timing_repeats must be at least 1")
@@ -315,7 +344,7 @@ def generate_replay_driver(
         "#define _POSIX_C_SOURCE 200809L",
         "#include <time.h>",
         "#include <math.h>",
-        _HELPERS,
+        HELPER_DECLS,
     ]
     if support_code.strip():
         lines.append(support_code.rstrip("\n"))

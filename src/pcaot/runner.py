@@ -1,5 +1,11 @@
 """Compile and execute generated programs; collect their timing lines.
 
+A replay driver only declares the checkpoint helpers.  build() links it with
+one helper object, compiled from instrument.HELPER_SOURCE the first time a
+(compiler_cmd, flags) pair builds a driver in this process, into a temporary
+directory that is removed at exit.  Capture programs carry their own static
+copy of the helpers and are compiled alone.
+
 Timed runs are serialized through a module-level lock so concurrent
 validation work cannot distort measurements.  The environment mapping given
 to run() is merged over the parent environment; its normal use is setting
@@ -18,13 +24,14 @@ import os
 import re
 import shlex
 import subprocess
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, PcaotError
-from .instrument import GeneratedSource
+from .instrument import HELPER_SOURCE, GeneratedSource, SourceKind
 
 DEFAULT_FLAGS = ("-O3", "-fopenmp")
 DEFAULT_THREADS = 4
@@ -33,6 +40,9 @@ OMP_PLACEMENT = {"OMP_PROC_BIND": "spread", "OMP_PLACES": "cores"}
 
 _TIMING_RE = re.compile(r"^PCAOT_TIME_NS\s+(\d+)\s*$", re.MULTILINE)
 _TIMED_RUN_LOCK = threading.Lock()
+# (compiler_cmd, flags) -> (directory kept alive until exit, helper object)
+_HELPER_OBJECTS: dict[tuple[str, tuple[str, ...]], tuple[tempfile.TemporaryDirectory, Path]] = {}
+_HELPER_LOCK = threading.Lock()
 
 
 class CompileFailure(PcaotError):
@@ -114,21 +124,14 @@ def _lower_median(samples: tuple[int, ...]) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def build(source: GeneratedSource, spec: BuildSpec) -> Path:
-    """Write the source into the workdir and compile it.
-
-    Returns the binary path; raises CompileFailure or ToolMissing.
-    """
-    workdir = Path(spec.workdir).resolve()
-    workdir.mkdir(parents=True, exist_ok=True)
-    src_path = workdir / f"{source.kind.value}.c"
-    out_path = workdir / source.kind.value
-    src_path.write_text(source.text, encoding="utf-8")
+def _compile(spec: BuildSpec, src_path: Path, out_path: Path, extra: tuple[str, ...]) -> None:
+    # The formatted compiler_cmd, then extra, then the flags; run in src_path's directory.
     command = shlex.split(spec.compiler_cmd.format(src=str(src_path), out=str(out_path)))
+    command.extend(extra)
     command.extend(spec.flags)
     try:
         proc = subprocess.run(
-            command, cwd=workdir, capture_output=True, text=True, check=False
+            command, cwd=src_path.parent, capture_output=True, text=True, check=False
         )
     except FileNotFoundError as exc:
         raise ToolMissing(f"compiler not found: {command[0]!r}") from exc
@@ -137,6 +140,40 @@ def build(source: GeneratedSource, spec: BuildSpec) -> Path:
             f"compile of {src_path.name} failed with exit code {proc.returncode}",
             stderr=proc.stderr,
         )
+
+
+def _helper_object(spec: BuildSpec) -> Path:
+    """The helper object for spec's compiler and flags, compiled on first use.
+
+    A failed compile is not cached; its directory goes with it.
+    """
+    key = (spec.compiler_cmd, tuple(spec.flags))
+    with _HELPER_LOCK:
+        if key not in _HELPER_OBJECTS:
+            tmp = tempfile.TemporaryDirectory(prefix="pcaot-helpers-")
+            src_path = Path(tmp.name) / "pcaot_helpers.c"
+            obj_path = Path(tmp.name) / "pcaot_helpers.o"
+            src_path.write_text(HELPER_SOURCE, encoding="utf-8")
+            _compile(spec, src_path, obj_path, ("-c",))
+            _HELPER_OBJECTS[key] = (tmp, obj_path)
+        return _HELPER_OBJECTS[key][1]
+
+
+def build(source: GeneratedSource, spec: BuildSpec) -> Path:
+    """Write the source into the workdir and compile it.
+
+    A replay driver is linked with the helper object (see the module
+    docstring): its path follows the formatted compiler_cmd, before the
+    flags.  Returns the binary path; raises CompileFailure or ToolMissing,
+    also when the helper object does not compile.
+    """
+    workdir = Path(spec.workdir).resolve()
+    workdir.mkdir(parents=True, exist_ok=True)
+    src_path = workdir / f"{source.kind.value}.c"
+    out_path = workdir / source.kind.value
+    src_path.write_text(source.text, encoding="utf-8")
+    is_driver = source.kind is SourceKind.REPLAY_DRIVER
+    _compile(spec, src_path, out_path, (str(_helper_object(spec)),) if is_driver else ())
     return out_path
 
 

@@ -1,4 +1,7 @@
 import json
+import shutil
+import stat
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,7 @@ from pcaot.campaign import (
 )
 from pcaot.errors import ParseError
 from pcaot.pattern import OutcomeCategory, ValidationStatus
-from pcaot.runner import BuildSpec
+from pcaot.runner import BuildSpec, run
 
 from conftest import needs_gcc
 
@@ -409,6 +412,65 @@ def test_forged_timing_lines_are_not_a_pass(tmp_path):
     forged = by_key[("mock", "IP")]
     assert forged.status is not ValidationStatus.PASS
     assert forged.speedup is None
+
+
+@needs_gcc
+def test_helper_compile_failure_is_a_compile_error(tmp_path):
+    # gcc for everything but the helper object: captures still build, every
+    # driver fails to build and is recorded, not raised.
+    script = tmp_path / "helperfail-cc"
+    script.write_text(
+        '#!/bin/sh\ncase "$*" in *pcaot_helpers.c*) echo "no helpers" >&2; exit 1;; esac\n'
+        'exec gcc "$@"\n'
+    )
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    job = _write_section(tmp_path)
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"tiny": GOOD}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+        build=BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"),
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    statuses = {(r.tool, r.strategy): r.status for r in records}
+    assert statuses == {
+        ("serial", None): ValidationStatus.COMPILE_ERROR,
+        ("mock", "IP"): ValidationStatus.COMPILE_ERROR,
+    }
+
+
+@needs_gcc
+def test_output_directory_rebuilds_a_driver(tmp_path):
+    job = _write_section(tmp_path)
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"tiny": GOOD}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert {r.status for r in records} == {ValidationStatus.PASS}
+    section = outdir / "sections" / "tiny"
+    scratch = section / "candidates" / "mock__IP__1"
+    # Only the output directory: the driver, the helpers and the captured input.
+    rebuilt = tmp_path / "rebuilt"
+    rebuilt.mkdir()
+    shutil.copyfile(section / "capture" / "tiny.in.ckpt", rebuilt / "tiny.in.ckpt")
+    proc = subprocess.run(
+        ["gcc", str(scratch / "driver.c"), str(outdir / "pcaot_helpers.c"),
+         "-o", str(rebuilt / "driver"), *config.build.flags],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = run(rebuilt / "driver", env={"OMP_NUM_THREADS": "1"})
+    assert result.exit_code == 0, result.stderr
+    assert (rebuilt / "tiny.out.ckpt").read_bytes() == (scratch / "tiny.out.ckpt").read_bytes()
 
 
 def test_produce_candidates_without_sources_skips(tmp_path):

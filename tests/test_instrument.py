@@ -1,4 +1,5 @@
 import math
+import subprocess
 import time
 
 import numpy as np
@@ -16,6 +17,8 @@ from pcaot.checkpoint import (
     read_checkpoint_file,
 )
 from pcaot.instrument import (
+    HELPER_DECLS,
+    HELPER_SOURCE,
     STACK_ARRAY_LIMIT,
     SourceKind,
     UnknownSection,
@@ -372,3 +375,34 @@ def test_driver_helpers_compile_without_warnings(workdir):
     driver = generate_replay_driver(body, manifest, timing_repeats=2)
     spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
     assert build(driver, spec).is_file()
+
+
+@needs_gcc
+def test_outputs_only_driver_compiles_without_warnings(workdir):
+    # No input to reload: the reader helpers go unused, which must not warn.
+    manifest = manifest_of(VariableSpec("y", "f64", (3,), "out"))
+    driver = generate_replay_driver("y[0] = 1.0; y[1] = 2.0; y[2] = 3.0;", manifest)
+    spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
+    assert build(driver, spec).is_file()
+
+
+def _compile_helpers_with(decls, workdir):
+    src = workdir / "helpers_drift.c"
+    src.write_text(decls + "\n" + HELPER_SOURCE)
+    return subprocess.run(
+        ["gcc", "-c", "-Wall", "-Wextra", "-Werror", str(src), "-o", str(workdir / "h.o")],
+        capture_output=True, text=True, check=False,
+    )
+
+
+@needs_gcc
+def test_helper_declarations_match_definitions(workdir):
+    # Drivers see HELPER_DECLS and link HELPER_SOURCE; one translation unit
+    # holding both fails with conflicting types if a prototype drifts.
+    proc = _compile_helpers_with(HELPER_DECLS, workdir)
+    assert proc.returncode == 0, proc.stderr
+    drifted = HELPER_DECLS.replace("uint32_t record_count", "int record_count")
+    assert drifted != HELPER_DECLS
+    proc = _compile_helpers_with(drifted, workdir)
+    assert proc.returncode != 0
+    assert "conflicting types" in proc.stderr

@@ -70,6 +70,67 @@ def test_flags_are_appended(workdir, tmp_path):
     assert argv[0].endswith("driver.c")
 
 
+def _argv_logging_compiler(tmp_path, fail_on=None):
+    # Appends each argv to a log; exits 1 with a message when an argument
+    # names fail_on.  The script path is per test, so the process-wide
+    # helper object cache sees a fresh compiler_cmd.
+    script = tmp_path / "fakecc"
+    log = tmp_path / "argv.log"
+    fail = (
+        f'case "$*" in *{fail_on}*) echo "fakecc: cannot compile {fail_on}" >&2; exit 1;; esac\n'
+        if fail_on
+        else ""
+    )
+    script.write_text(f'#!/bin/sh\necho "$@" >> {log}\n{fail}exit 0\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return f"{script} {{src}} -o {{out}}", log
+
+
+def test_driver_builds_share_one_helper_object(tmp_path):
+    compiler_cmd, log = _argv_logging_compiler(tmp_path)
+    for i in range(3):
+        spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}")
+        build(_source("x"), spec)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    helper_compiles = [argv for argv in calls if argv[0].endswith("pcaot_helpers.c")]
+    assert len(helper_compiles) == 1
+    assert helper_compiles[0][3:] == ["-c", "-O3", "-fopenmp"]
+    helper_obj = helper_compiles[0][2]
+    assert helper_obj.endswith("pcaot_helpers.o")
+    drivers = [argv for argv in calls if argv[0].endswith("driver.c")]
+    assert len(drivers) == 3
+    assert all(argv[3] == helper_obj and "-c" not in argv for argv in drivers)
+
+    # Other flags need an object of their own.
+    other = BuildSpec(compiler_cmd=compiler_cmd, flags=("-O2",), workdir=tmp_path / "o2")
+    build(_source("x"), other)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    helper_compiles = [argv for argv in calls if argv[0].endswith("pcaot_helpers.c")]
+    assert len(helper_compiles) == 2
+    assert helper_compiles[1][2] != helper_obj
+    assert calls[-1][3] == helper_compiles[1][2]
+
+    # A capture carries its own copy of the helpers.
+    capture = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "cap")
+    build(_source("x", kind=SourceKind.CAPTURE_PROGRAM), capture)
+    argv = log.read_text().splitlines()[-1].split()
+    assert argv[0].endswith("capture.c")
+    assert not any(arg.endswith(".o") for arg in argv)
+
+
+def test_helper_compile_failure_is_a_compile_failure(tmp_path):
+    compiler_cmd, log = _argv_logging_compiler(tmp_path, fail_on="pcaot_helpers.c")
+    spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d")
+    for _ in range(2):
+        with pytest.raises(CompileFailure) as excinfo:
+            build(_source("x"), spec)
+        assert excinfo.value.stderr == "fakecc: cannot compile pcaot_helpers.c\n"
+    # A failed helper compile is not cached, and no driver compile follows it.
+    calls = log.read_text().splitlines()
+    assert len(calls) == 2
+    assert all("pcaot_helpers.c" in argv for argv in calls)
+
+
 @needs_gcc
 def test_run_reports_exit_code_and_output(workdir):
     source = (
