@@ -6,169 +6,45 @@ capture reference checkpoints from the original program, ask optimization
 backends (LLMs, parallelizing compilers) for alternatives, then replay
 every candidate against the captured input and compare its output state
 under a numeric tolerance while timing it.
+
+The package root re-exports the names the README and ``demos/`` use; the
+rest lives in the submodules (``pcaot.sections``, ``pcaot.checkpoint``,
+``pcaot.instrument``, ``pcaot.runner``, ``pcaot.backends``,
+``pcaot.pattern``, ``pcaot.campaign``).
 """
 
 from .backends import (
-    API_KEY_ENV,
-    COT_PROMPT,
-    DIP_PROMPT,
-    IP_PROMPT,
-    CandidateVersion,
-    CompilerDriverConfig,
     MockLlm,
     OptimizationRequest,
-    Origin,
     PromptStrategy,
-    SamplingParams,
     extract_code,
     render_prompt,
-    request_compiler,
     request_llm,
 )
-from .campaign import (
-    CampaignConfig,
-    CaptureFailure,
-    EmptyCampaign,
-    ExperimentPlan,
-    IoFailure,
-    LlmEndpointConfig,
-    Metrics,
-    OutcomeRecord,
-    SectionJob,
-    aggregate,
-    capture_section,
-    emit_reports,
-    execute,
-    load_campaign_config,
-    plan,
-    produce_candidates,
-    validate_candidates,
-)
+from .campaign import aggregate, emit_reports, execute, load_campaign_config, plan
 from .checkpoint import (
     Checkpoint,
-    ComparisonReport,
-    ComparisonStatus,
     Tolerance,
     VarRecord,
     compare,
     decode,
     encode,
     read_checkpoint_file,
-    write_checkpoint_file,
 )
-from .errors import ParseError, PcaotError, UsageError
-from .instrument import (
-    GeneratedSource,
-    SourceKind,
-    generate_capture_program,
-    generate_replay_driver,
-    input_checkpoint_name,
-    output_checkpoint_name,
-)
-from .pattern import (
-    OutcomeCategory,
-    PatternLabel,
-    ValidationStatus,
-    categorize,
-    detect,
-    has_any_directive,
-    scan_directives,
-)
-from .runner import (
-    BuildSpec,
-    CompileFailure,
-    RunResult,
-    TimingSample,
-    ToolMissing,
-    build,
-    collect_timing,
-    run,
-)
-from .sections import (
-    ExperimentalSection,
-    StateManifest,
-    VariableSpec,
-    dump_manifest,
-    extract_sections,
-    load_manifest,
-    load_manifest_file,
-)
+from .errors import PcaotError
+from .instrument import generate_capture_program, generate_replay_driver, output_checkpoint_name
+from .pattern import PatternLabel, ValidationStatus, categorize, detect
+from .runner import BuildSpec, build, collect_timing, run
+from .sections import extract_sections, load_manifest, load_manifest_file
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "API_KEY_ENV",
-    "BuildSpec",
-    "COT_PROMPT",
-    "CampaignConfig",
-    "CandidateVersion",
-    "CaptureFailure",
-    "Checkpoint",
-    "ComparisonReport",
-    "ComparisonStatus",
-    "CompileFailure",
-    "CompilerDriverConfig",
-    "DIP_PROMPT",
-    "EmptyCampaign",
-    "ExperimentPlan",
-    "ExperimentalSection",
-    "GeneratedSource",
-    "IP_PROMPT",
-    "IoFailure",
-    "LlmEndpointConfig",
-    "Metrics",
-    "MockLlm",
-    "OptimizationRequest",
-    "Origin",
-    "OutcomeCategory",
-    "OutcomeRecord",
-    "ParseError",
-    "PatternLabel",
-    "PcaotError",
-    "PromptStrategy",
-    "RunResult",
-    "SamplingParams",
-    "SectionJob",
-    "SourceKind",
-    "StateManifest",
-    "TimingSample",
-    "Tolerance",
-    "ToolMissing",
-    "UsageError",
-    "ValidationStatus",
-    "VarRecord",
-    "VariableSpec",
-    "aggregate",
-    "build",
-    "capture_section",
-    "categorize",
-    "collect_timing",
-    "compare",
-    "decode",
-    "detect",
-    "dump_manifest",
-    "emit_reports",
-    "encode",
-    "execute",
-    "extract_code",
-    "extract_sections",
-    "generate_capture_program",
-    "generate_replay_driver",
-    "has_any_directive",
-    "input_checkpoint_name",
-    "load_campaign_config",
-    "load_manifest",
-    "load_manifest_file",
-    "output_checkpoint_name",
-    "plan",
-    "produce_candidates",
-    "read_checkpoint_file",
-    "render_prompt",
-    "request_compiler",
-    "request_llm",
-    "run",
-    "scan_directives",
-    "validate_candidates",
-    "write_checkpoint_file",
-    "__version__",
+    "BuildSpec", "Checkpoint", "MockLlm", "OptimizationRequest", "PatternLabel",
+    "PcaotError", "PromptStrategy", "Tolerance", "ValidationStatus", "VarRecord",
+    "aggregate", "build", "categorize", "collect_timing", "compare", "decode", "detect",
+    "emit_reports", "encode", "execute", "extract_code", "extract_sections",
+    "generate_capture_program", "generate_replay_driver", "load_campaign_config",
+    "load_manifest", "load_manifest_file", "output_checkpoint_name", "plan",
+    "read_checkpoint_file", "render_prompt", "request_llm", "run", "__version__",
 ]

@@ -34,7 +34,6 @@ from .sections import START_PRAGMA, STOP_PRAGMA, StateManifest, extract_sections
 API_KEY_ENV = "PCAOT_LLM_API_KEY"
 DEFAULT_TEMPERATURE = 0.2
 DEFAULT_TOP_P = 0.1
-DEFAULT_ATTEMPTS = 3
 MAX_TRIES = 3
 
 
@@ -107,6 +106,15 @@ class SamplingParams:
             raise ParseError("temperature must lie in [0, 2]")
         if not (0.0 < self.top_p <= 1.0):
             raise ParseError("top_p must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class LlmEndpointConfig:
+    """A real HTTP chat-completions backend."""
+
+    tool_id: str
+    endpoint: str
+    params: SamplingParams
 
 
 @dataclass(frozen=True)
@@ -268,7 +276,8 @@ class CompilerDriverConfig:
 
     command is a shell-style template over {src}, {out} and {workdir};
     output_path says where the transformed file lands (default: the {out}
-    path the command was given).
+    path the command was given).  Both templates are checked when the
+    config is built, so a broken one never fails midway through a campaign.
     """
 
     tool_id: str
@@ -278,6 +287,21 @@ class CompilerDriverConfig:
     def __post_init__(self) -> None:
         if "{src}" not in self.command:
             raise ParseError("compiler backend command must contain {src}")
+        fills = _template_fills(Path("."))
+        try:
+            shlex.split(self.command.format(**fills))
+            self.output_path.format(**fills)
+        except (AttributeError, IndexError, KeyError, ValueError) as exc:
+            raise ParseError(f"compiler backend {self.tool_id!r} has a bad template: {exc!r}") from exc
+
+
+def _template_fills(workdir: Path) -> dict[str, str]:
+    """What {src}, {out} and {workdir} stand for in a compiler backend's templates."""
+    return {
+        "src": str(workdir / "input.c"),
+        "out": str(workdir / "transformed.c"),
+        "workdir": str(workdir),
+    }
 
 
 def wrap_section(section_code: str, manifest: StateManifest, support_code: str = "") -> str:
@@ -323,10 +347,10 @@ def request_compiler(
     try:
         workdir = Path(workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-        src = workdir / "input.c"
-        out = workdir / "transformed.c"
-        src.write_text(wrap_section(request.section_code, manifest, support_code), encoding="utf-8")
-        fills = {"src": str(src), "out": str(out), "workdir": str(workdir)}
+        fills = _template_fills(workdir)
+        Path(fills["src"]).write_text(
+            wrap_section(request.section_code, manifest, support_code), encoding="utf-8"
+        )
         command = shlex.split(driver.command.format(**fills))
         try:
             proc = subprocess.run(

@@ -4,7 +4,9 @@ A campaign pairs section sources with manifests, fans each section out to
 every configured backend (LLM strategies x attempts, plus compiler
 backends, plus the serial original), validates every candidate against the
 captured reference state, and aggregates the outcome records into metrics
-and charts.
+and charts.  Candidates of every backend, LLM or compiler, are produced
+through one thread pool of config.max_inflight workers and persisted in
+plan order.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -29,13 +31,14 @@ import math
 import re
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from ._svg import grouped_bar_chart
 from .backends import (
     CompilerDriverConfig,
+    LlmEndpointConfig,
     MockLlm,
     OptimizationRequest,
     Origin,
@@ -60,14 +63,12 @@ from .pattern import (
     detect,
     has_any_directive,
 )
-from .runner import DEFAULT_FLAGS, BuildSpec, build, collect_timing, run
+from .runner import BuildSpec, build, collect_timing, run
 from .sections import ExperimentalSection, StateManifest, extract_sections, load_manifest_file
 
 log = logging.getLogger("pcaot")
 
 SERIAL_TOOL_ID = "serial"
-DEFAULT_SIZE_BUCKETS = (10, 20, 40, 80)
-DEFAULT_STRATEGIES = (PromptStrategy.IP, PromptStrategy.DIP, PromptStrategy.COT)
 CAPTURE_TIMEOUT_S = 60.0
 TIMEOUT_FLOOR_S = 10.0
 TIMEOUT_FACTOR = 10.0
@@ -109,38 +110,25 @@ class SectionJob:
 
 
 @dataclass(frozen=True)
-class LlmEndpointConfig:
-    """A real HTTP chat-completions backend."""
-
-    tool_id: str
-    endpoint: str
-    params: SamplingParams
-
-
-@dataclass(frozen=True)
 class CampaignConfig:
     sections: tuple[SectionJob, ...]
     llm_backends: tuple[MockLlm | LlmEndpointConfig, ...] = ()
     compiler_backends: tuple[CompilerDriverConfig, ...] = ()
-    strategies: tuple[PromptStrategy, ...] = DEFAULT_STRATEGIES
+    strategies: tuple[PromptStrategy, ...] = tuple(PromptStrategy)
     attempts: int = 3
     timing_repeats: int = 3
     tolerance: Tolerance = Tolerance()
     build: BuildSpec = BuildSpec()
     threads: int = 4
-    size_buckets: tuple[int, ...] = DEFAULT_SIZE_BUCKETS
+    size_buckets: tuple[int, ...] = (10, 20, 40, 80)
     timeout_s: float | None = None
     max_inflight: int = 4
 
     def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ParseError("attempts must be at least 1")
-        if self.timing_repeats < 1:
-            raise ParseError("timing_repeats must be at least 1")
-        if self.threads < 1:
-            raise ParseError("threads must be at least 1")
-        if self.max_inflight < 1:
-            raise ParseError("max_inflight must be at least 1")
+        for name in ("attempts", "timing_repeats", "threads", "max_inflight"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ParseError(f"{name} must be an integer of at least 1")
         if any(b <= a for a, b in zip(self.size_buckets, self.size_buckets[1:])):
             raise ParseError("size_buckets must be strictly ascending")
         if any(b <= 0 for b in self.size_buckets):
@@ -209,14 +197,39 @@ def plan(config: CampaignConfig) -> ExperimentPlan:
     )
 
 
+def _key(section_id: str, origin: Origin) -> tuple[str, str, str | None, int | None]:
+    """Which version of which section a persisted row describes."""
+    strategy = origin.strategy.value if origin.strategy else None
+    return (section_id, origin.tool_id, strategy, origin.attempt)
+
+
 @dataclass(frozen=True)
-class OutcomeRecord:
-    """One validated version of one section."""
+class _Row:
+    """The leading fields of every persisted row: the _key of its version.
+
+    A row's JSON form is its fields in declaration order.
+    """
 
     section_id: str
     tool: str
     strategy: str | None
     attempt: int | None
+
+    def key(self) -> tuple[str, str, str | None, int | None]:
+        return (self.section_id, self.tool, self.strategy, self.attempt)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        return cls(**doc)
+
+
+@dataclass(frozen=True)
+class OutcomeRecord(_Row):
+    """One validated version of one section."""
+
     status: ValidationStatus
     category: OutcomeCategory
     detected: tuple[str, ...]
@@ -233,33 +246,21 @@ class OutcomeRecord:
 
     def to_dict(self) -> dict:
         return {
-            "section_id": self.section_id,
-            "tool": self.tool,
-            "strategy": self.strategy,
-            "attempt": self.attempt,
+            **asdict(self),
             "status": self.status.value,
             "category": self.category.value,
             "detected": list(self.detected),
-            "pattern": self.pattern,
-            "lines": self.lines,
-            "median_time_ns": self.median_time_ns,
-            "speedup": self.speedup,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OutcomeRecord":
         return cls(
-            section_id=doc["section_id"],
-            tool=doc["tool"],
-            strategy=doc["strategy"],
-            attempt=doc["attempt"],
-            status=ValidationStatus(doc["status"]),
-            category=OutcomeCategory(doc["category"]),
-            detected=tuple(doc["detected"]),
-            pattern=doc["pattern"],
-            lines=doc["lines"],
-            median_time_ns=doc["median_time_ns"],
-            speedup=doc["speedup"],
+            **{
+                **doc,
+                "status": ValidationStatus(doc["status"]),
+                "category": OutcomeCategory(doc["category"]),
+                "detected": tuple(doc["detected"]),
+            }
         )
 
 
@@ -359,42 +360,12 @@ def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _S
 
 
 @dataclass(frozen=True)
-class CandidateRow:
+class CandidateRow(_Row):
     """One produced candidate (or production failure), as persisted."""
 
-    section_id: str
-    tool: str
-    strategy: str | None
-    attempt: int | None
     code: str | None
     raw_response: str | None = None
     error: str | None = None
-
-    def key(self) -> tuple[str, str, str | None, int | None]:
-        return (self.section_id, self.tool, self.strategy, self.attempt)
-
-    def to_dict(self) -> dict:
-        return {
-            "section_id": self.section_id,
-            "tool": self.tool,
-            "strategy": self.strategy,
-            "attempt": self.attempt,
-            "code": self.code,
-            "raw_response": self.raw_response,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CandidateRow":
-        return cls(
-            section_id=doc["section_id"],
-            tool=doc["tool"],
-            strategy=doc["strategy"],
-            attempt=doc["attempt"],
-            code=doc["code"],
-            raw_response=doc.get("raw_response"),
-            error=doc.get("error"),
-        )
 
 
 def _load_jsonl(path: Path, parse) -> list:
@@ -415,29 +386,19 @@ def _append_jsonl(path: Path, doc: dict) -> None:
         handle.flush()
 
 
-def _backend_by_tool(config: CampaignConfig, tool_id: str):
-    for backend in config.llm_backends:
-        if backend.tool_id == tool_id:
-            return backend
-    for driver in config.compiler_backends:
-        if driver.tool_id == tool_id:
-            return driver
-    raise ParseError(f"no backend with tool id {tool_id!r}")
-
-
 def _produce_one(
     origin: Origin,
+    backend: MockLlm | LlmEndpointConfig | CompilerDriverConfig,
     section: ExperimentalSection,
     manifest: StateManifest,
     job: SectionJob,
-    config: CampaignConfig,
 ) -> CandidateRow:
+    row = CandidateRow(*_key(manifest.section_id, origin), code=None)
     request = OptimizationRequest(
         section_code=section.body_text,
         strategy=origin.strategy,
         attempt=origin.attempt or 1,
     )
-    backend = _backend_by_tool(config, origin.tool_id)
     try:
         if isinstance(backend, MockLlm):
             candidate = backend.request(request, manifest.section_id)
@@ -449,22 +410,8 @@ def _produce_one(
             candidate = request_compiler(request, backend, manifest, job.support_code)
     except PcaotError as exc:
         log.warning("candidate %s/%s failed: %s", manifest.section_id, origin.tool_id, exc)
-        return CandidateRow(
-            section_id=manifest.section_id,
-            tool=origin.tool_id,
-            strategy=origin.strategy.value if origin.strategy else None,
-            attempt=origin.attempt,
-            code=None,
-            error=str(exc),
-        )
-    return CandidateRow(
-        section_id=manifest.section_id,
-        tool=origin.tool_id,
-        strategy=origin.strategy.value if origin.strategy else None,
-        attempt=origin.attempt,
-        code=candidate.code,
-        raw_response=candidate.raw_response,
-    )
+        return replace(row, error=str(exc))
+    return replace(row, code=candidate.code, raw_response=candidate.raw_response)
 
 
 def produce_candidates(
@@ -473,52 +420,33 @@ def produce_candidates(
     """Obtain candidate code for every planned origin, persisting as it goes.
 
     Rows already present in candidates.jsonl are not re-requested, so an
-    interrupted campaign never repeats LLM calls.  LLM-origin requests for
-    one section run concurrently, bounded by config.max_inflight.
+    interrupted campaign never repeats LLM calls.  Requests of every backend
+    share one pool of config.max_inflight workers; rows are persisted in
+    plan order.
     """
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {outdir}: {exc}") from exc
+    outdir = _ensure_dir(outdir)
     experiment = experiment or plan(config)
     path = outdir / "candidates.jsonl"
     rows: dict[tuple, CandidateRow] = {r.key(): r for r in _load_jsonl(path, CandidateRow.from_dict)}
-    for job in experiment.jobs:
-        try:
-            section, manifest, _ = _load_section(job)
-        except CaptureFailure as exc:
-            log.warning("skipping candidate production: %s", exc)
-            continue
-        missing = [
-            origin
-            for origin in experiment.candidate_origins
-            if (
-                manifest.section_id,
-                origin.tool_id,
-                origin.strategy.value if origin.strategy else None,
-                origin.attempt,
+    backends = {b.tool_id: b for b in (*config.llm_backends, *config.compiler_backends)}
+    with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
+        for job in experiment.jobs:
+            try:
+                section, manifest, _ = _load_section(job)
+            except CaptureFailure as exc:
+                log.warning("skipping candidate production: %s", exc)
+                continue
+            missing = [
+                origin
+                for origin in experiment.candidate_origins
+                if _key(manifest.section_id, origin) not in rows
+            ]
+            produced = pool.map(
+                lambda o: _produce_one(o, backends[o.tool_id], section, manifest, job), missing
             )
-            not in rows
-        ]
-        if not missing:
-            continue
-        llm_origins = [o for o in missing if o.strategy is not None]
-        compiler_origins = [o for o in missing if o.strategy is None]
-        produced: list[CandidateRow] = []
-        if llm_origins:
-            with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
-                produced.extend(
-                    pool.map(
-                        lambda o: _produce_one(o, section, manifest, job, config), llm_origins
-                    )
-                )
-        for origin in compiler_origins:
-            produced.append(_produce_one(origin, section, manifest, job, config))
-        produced.sort(key=lambda r: (r.tool, r.strategy or "", r.attempt or 0))
-        for row in produced:
-            rows[row.key()] = row
-            _append_jsonl(path, row.to_dict())
+            for row in produced:
+                rows[row.key()] = row
+                _append_jsonl(path, row.to_dict())
     return rows
 
 
@@ -572,9 +500,7 @@ def _validate_code(
 
 def _make_record(
     ctx: _SectionContext,
-    tool: str,
-    strategy: str | None,
-    attempt: int | None,
+    origin: Origin,
     code: str | None,
     status: ValidationStatus,
     median_ns: int | None,
@@ -587,10 +513,7 @@ def _make_record(
     if status is ValidationStatus.PASS and median_ns and serial_median_ns:
         speedup = serial_median_ns / median_ns
     return OutcomeRecord(
-        section_id=ctx.manifest.section_id,
-        tool=tool,
-        strategy=strategy,
-        attempt=attempt,
+        *_key(ctx.manifest.section_id, origin),
         status=status,
         category=category,
         detected=tuple(sorted(label.value for label in detected)),
@@ -608,18 +531,11 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
     serial baseline first, then candidates by (tool, strategy, attempt).
     Existing records.jsonl rows are reused, new ones appended.
     """
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {outdir}: {exc}") from exc
+    outdir = _ensure_dir(outdir)
     experiment = plan(config)
     _write_text(outdir / "pcaot_helpers.c", HELPER_SOURCE)
     records_path = outdir / "records.jsonl"
-    existing = {
-        (r.section_id, r.tool, r.strategy, r.attempt): r
-        for r in _load_jsonl(records_path, OutcomeRecord.from_dict)
-    }
+    existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
     rows = produce_candidates(config, outdir, experiment)
     records: list[OutcomeRecord] = []
 
@@ -632,7 +548,8 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
         sid = ctx.manifest.section_id
         sdir = outdir / "sections" / _safe_name(sid)
 
-        serial_key = (sid, SERIAL_TOOL_ID, None, None)
+        serial = Origin(tool_id=SERIAL_TOOL_ID)
+        serial_key = _key(sid, serial)
         if serial_key in existing:
             serial_record = existing[serial_key]
             baseline_wall = (serial_record.median_time_ns or 0) * config.timing_repeats
@@ -642,8 +559,7 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
                 ctx.section.body_text, ctx, config, sdir / "serial", serial_timeout
             )
             serial_record = _make_record(
-                ctx, SERIAL_TOOL_ID, None, None, ctx.section.body_text, status, median,
-                serial_median_ns=median,
+                ctx, serial, ctx.section.body_text, status, median, serial_median_ns=median
             )
             baseline_wall = wall
             _append_jsonl(records_path, serial_record.to_dict())
@@ -658,28 +574,20 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
         timeout_s = _candidate_timeout(config, baseline_wall)
 
         for origin in experiment.candidate_origins:
-            strategy = origin.strategy.value if origin.strategy else None
-            key = (sid, origin.tool_id, strategy, origin.attempt)
+            key = _key(sid, origin)
             if key in existing:
                 records.append(existing[key])
                 continue
             row = rows.get(key)
             if row is None or row.code is None:
                 record = _make_record(
-                    ctx, origin.tool_id, strategy, origin.attempt, None,
-                    ValidationStatus.EXTRACTION_ERROR, None, serial_median,
+                    ctx, origin, None, ValidationStatus.EXTRACTION_ERROR, None, serial_median
                 )
             else:
-                scratch = (
-                    sdir
-                    / "candidates"
-                    / f"{origin.tool_id}__{strategy or 'na'}__{origin.attempt or 0}"
-                )
+                _, tool, strategy, attempt = key
+                scratch = sdir / "candidates" / f"{tool}__{strategy or 'na'}__{attempt or 0}"
                 status, median, _ = _validate_code(row.code, ctx, config, scratch, timeout_s)
-                record = _make_record(
-                    ctx, origin.tool_id, strategy, origin.attempt, row.code,
-                    status, median, serial_median,
-                )
+                record = _make_record(ctx, origin, row.code, status, median, serial_median)
             _append_jsonl(records_path, record.to_dict())
             records.append(record)
     return records
@@ -730,12 +638,8 @@ def _bucket_labels(bounds: tuple[int, ...]) -> list[str]:
 
 
 def _bucket_for(lines: int, bounds: tuple[int, ...]) -> str:
-    low = 0
-    for bound in bounds:
-        if lines <= bound:
-            return f"({low},{bound}]"
-        low = bound
-    return f"({low},inf)"
+    labels = _bucket_labels(bounds)
+    return next((label for label, bound in zip(labels, bounds) if lines <= bound), labels[-1])
 
 
 def _mean(values: list[float]) -> float:
@@ -781,18 +685,9 @@ def aggregate(records: list[OutcomeRecord], config: CampaignConfig) -> Metrics:
         if record.status is not ValidationStatus.PASS:
             stats["failures"] += 1
     failure_rate_by_bucket = {
-        label: {
-            "failures": stats["failures"],
-            "attempts": stats["attempts"],
-            "rate": stats["failures"] / stats["attempts"],
-        }
-        for label, stats in buckets.items()
-        if stats["attempts"]
-    }
-    failure_rate_by_bucket = {
-        label: failure_rate_by_bucket[label]
+        label: {**buckets[label], "rate": buckets[label]["failures"] / buckets[label]["attempts"]}
         for label in _bucket_labels(config.size_buckets)
-        if label in failure_rate_by_bucket
+        if label in buckets
     }
 
     category_rates: dict = {}
@@ -845,6 +740,15 @@ def _job_section_id(job: SectionJob) -> str:
         return ""
 
 
+def _ensure_dir(path: Path) -> Path:
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
+    return path
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8")
@@ -883,12 +787,7 @@ def emit_reports(metrics: Metrics, records: list[OutcomeRecord], outdir: Path) -
     Byte-deterministic: the same metrics and records always produce
     identical files.
     """
-    outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create report directory {outdir}: {exc}") from exc
-
+    outdir = _ensure_dir(outdir)
     csv_path = outdir / "records.csv"
     _write_text(csv_path, _records_csv(records))
 
@@ -961,10 +860,17 @@ def _as_path(base: Path, value: str) -> Path:
     return candidate if candidate.is_absolute() else base / candidate
 
 
-def _parse_llm_backend(doc: dict, base: Path):
+def _present(doc: dict, *keys: str) -> dict:
+    """The entries of doc named by keys; absent ones keep their dataclass default."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected a JSON object with {', '.join(keys)}, got {doc!r}")
+    return {key: doc[key] for key in keys if key in doc}
+
+
+def _parse_llm_backend(doc, base: Path) -> MockLlm | LlmEndpointConfig:
+    if not isinstance(doc, dict) or not isinstance(doc.get("tool_id"), str) or not doc["tool_id"]:
+        raise ParseError("llm backend entries must be objects with a tool_id")
     kind = doc.get("kind", "llm")
-    if not isinstance(doc.get("tool_id"), str) or not doc["tool_id"]:
-        raise ParseError("llm backend entries need a tool_id")
     if kind == "mock":
         responses = dict(doc.get("responses", {}))
         for section_key, rel in doc.get("response_files", {}).items():
@@ -976,17 +882,25 @@ def _parse_llm_backend(doc: dict, base: Path):
     if kind in ("llm", "http"):
         if not isinstance(doc.get("endpoint"), str) or not isinstance(doc.get("model"), str):
             raise ParseError("http llm backends need endpoint and model")
-        params = SamplingParams(
-            model=doc["model"],
-            temperature=doc.get("temperature", 0.2),
-            top_p=doc.get("top_p", 0.1),
-        )
+        params = SamplingParams(model=doc["model"], **_present(doc, "temperature", "top_p"))
         return LlmEndpointConfig(tool_id=doc["tool_id"], endpoint=doc["endpoint"], params=params)
     raise ParseError(f"unknown llm backend kind {kind!r}")
 
 
+def _parse_compiler_backend(doc) -> CompilerDriverConfig:
+    if not isinstance(doc, dict) or not all(
+        isinstance(doc.get(key), str) for key in ("tool_id", "command")
+    ):
+        raise ParseError("compiler backend entries must be objects with tool_id and command")
+    return CompilerDriverConfig(**_present(doc, "tool_id", "command", "output_path"))
+
+
 def load_campaign_config(path: Path) -> CampaignConfig:
-    """Parse a campaign config JSON file; paths resolve against its directory."""
+    """Parse a campaign config JSON file; paths resolve against its directory.
+
+    Only the settings the document names are passed on, so every default
+    lives in its dataclass.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -1017,42 +931,28 @@ def load_campaign_config(path: Path) -> CampaignConfig:
             )
         )
 
-    llm_backends = tuple(_parse_llm_backend(b, base) for b in doc.get("llm_backends", []))
-    compiler_backends = tuple(
-        CompilerDriverConfig(
-            tool_id=b["tool_id"],
-            command=b["command"],
-            output_path=b.get("output_path", "{out}"),
-        )
-        for b in doc.get("compiler_backends", [])
-    )
-
-    try:
-        strategies = tuple(PromptStrategy(s) for s in doc.get("strategies", ["IP", "DIP", "CoT"]))
-    except ValueError as exc:
-        raise ParseError(f"unknown prompt strategy: {exc}") from exc
-
-    tolerance_doc = doc.get("tolerance", {})
-    tolerance = Tolerance(
-        abs=tolerance_doc.get("abs", 0.0), rel=tolerance_doc.get("rel", 1e-6)
-    )
-    build_doc = doc.get("build", {})
-    build_spec = BuildSpec(
-        compiler_cmd=build_doc.get("compiler_cmd", "gcc {src} -o {out}"),
-        flags=tuple(build_doc.get("flags", list(DEFAULT_FLAGS))),
-    )
+    settings = _present(doc, "attempts", "timing_repeats", "threads", "timeout_s", "max_inflight")
+    if "strategies" in doc:
+        try:
+            settings["strategies"] = tuple(PromptStrategy(s) for s in doc["strategies"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"unknown prompt strategy: {exc}") from exc
+    if "size_buckets" in doc:
+        settings["size_buckets"] = tuple(doc["size_buckets"])
+    if "tolerance" in doc:
+        settings["tolerance"] = Tolerance(**_present(doc["tolerance"], "abs", "rel"))
+    if "build" in doc:
+        build_doc = doc["build"]
+        build_settings = _present(build_doc, "compiler_cmd")
+        if "flags" in build_doc:
+            build_settings["flags"] = tuple(build_doc["flags"])
+        settings["build"] = BuildSpec(**build_settings)
 
     return CampaignConfig(
         sections=tuple(jobs),
-        llm_backends=llm_backends,
-        compiler_backends=compiler_backends,
-        strategies=strategies,
-        attempts=doc.get("attempts", 3),
-        timing_repeats=doc.get("timing_repeats", 3),
-        tolerance=tolerance,
-        build=build_spec,
-        threads=doc.get("threads", 4),
-        size_buckets=tuple(doc.get("size_buckets", list(DEFAULT_SIZE_BUCKETS))),
-        timeout_s=doc.get("timeout_s"),
-        max_inflight=doc.get("max_inflight", 4),
+        llm_backends=tuple(_parse_llm_backend(b, base) for b in doc.get("llm_backends", [])),
+        compiler_backends=tuple(
+            _parse_compiler_backend(b) for b in doc.get("compiler_backends", [])
+        ),
+        **settings,
     )

@@ -255,6 +255,26 @@ def test_compiler_config_requires_src_placeholder():
         CompilerDriverConfig(tool_id="t", command="mytool")
 
 
+@pytest.mark.parametrize(
+    "command, output_path",
+    [
+        ("cp {src} {out} {bogus}", "{out}"),
+        ("cp {src} '{out}", "{out}"),
+        ("cp {src} {0}", "{out}"),
+        ("cp {src} {out}", "{workdir}/{nowhere}"),
+    ],
+)
+def test_compiler_config_rejects_broken_templates(command, output_path):
+    with pytest.raises(ParseError):
+        CompilerDriverConfig(tool_id="t", command=command, output_path=output_path)
+
+
+def test_compiler_config_accepts_every_placeholder():
+    CompilerDriverConfig(
+        tool_id="t", command="tool -C {workdir} '{src}' -o {out}", output_path="{workdir}/x.c"
+    )
+
+
 def test_request_compiler_identity_roundtrip(tmp_path):
     driver = CompilerDriverConfig(tool_id="copyc", command="cp {src} {out}")
     candidate = request_compiler(_request(strategy=None), driver, MANIFEST, workdir=tmp_path)

@@ -23,6 +23,7 @@ from pcaot.campaign import (
     produce_candidates,
     validate_candidates,
 )
+from pcaot.cli import main
 from pcaot.errors import ParseError
 from pcaot.pattern import OutcomeCategory, ValidationStatus
 from pcaot.runner import BuildSpec, run
@@ -228,6 +229,36 @@ def test_load_campaign_config_rejects_garbage(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ParseError):
         load_campaign_config(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"compiler_backends": [{"tool_id": "cc"}]},
+        {"compiler_backends": [{"command": "cp {src} {out}"}]},
+        {"compiler_backends": ["cp {src} {out}"]},
+        {"llm_backends": ["mock"]},
+        {"llm_backends": [{"kind": "mock", "tool_id": "m"}], "attempts": "1"},
+        {"threads": 2.5},
+        {"strategies": 3},
+        {"tolerance": [1e-9]},
+        {"build": "gcc {src} -o {out}"},
+    ],
+)
+def test_load_campaign_config_rejects_malformed_entries(tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_campaign_config(path)
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pcaot: error: ") and err.count("\n") == 1, err
+
+
+def test_load_campaign_config_defaults_match_dataclass(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"sections": []}))
+    assert load_campaign_config(path) == CampaignConfig(sections=())
 
 
 # --- execution (gcc) -------------------------------------------------------
@@ -477,6 +508,51 @@ def test_produce_candidates_without_sources_skips(tmp_path):
     config = CampaignConfig(sections=(_job(tmp_path),), llm_backends=(_mock(),))
     rows = produce_candidates(config, tmp_path / "out")
     assert rows == {}
+
+
+RENDEZVOUS = """#!/bin/sh
+# usage: rendezvous SRC OUT DIR SELF OTHER
+# Announce SELF, wait up to 5 s for OTHER to start, then copy SRC to OUT.
+touch "$3/$4"
+i=0
+while [ ! -e "$3/$5" ]; do
+    i=$((i + 1))
+    [ "$i" -gt 50 ] && exit 1
+    sleep 0.1
+done
+cp "$1" "$2"
+"""
+
+
+def test_compiler_backends_share_the_request_pool(tmp_path):
+    # Each compiler waits for the other to start, so both produce code only
+    # when they run at the same time.
+    script = tmp_path / "rendezvous"
+    script.write_text(RENDEZVOUS)
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+
+    def waiting(tool_id, other):
+        return CompilerDriverConfig(
+            tool_id=tool_id, command=f"{script} {{src}} {{out}} {tmp_path} {tool_id} {other}"
+        )
+
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(_mock("mock"),),
+        compiler_backends=(waiting("zeta", "alpha"), waiting("alpha", "zeta")),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        max_inflight=2,
+    )
+    outdir = tmp_path / "out"
+    rows = produce_candidates(config, outdir)
+    assert all(row.code is not None for row in rows.values()), rows
+    persisted = [
+        json.loads(line)["tool"]
+        for line in (outdir / "candidates.jsonl").read_text().splitlines()
+    ]
+    assert persisted == [origin.tool_id for origin in plan(config).candidate_origins]
+    assert persisted == ["alpha", "mock", "zeta"]
 
 
 # --- aggregation -----------------------------------------------------------
