@@ -102,6 +102,8 @@ class SamplingParams:
     top_p: float = DEFAULT_TOP_P
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, float)) for v in (self.temperature, self.top_p)):
+            raise ParseError("temperature and top_p must be numbers")
         if not (0.0 <= self.temperature <= 2.0):
             raise ParseError("temperature must lie in [0, 2]")
         if not (0.0 < self.top_p <= 1.0):

@@ -63,7 +63,7 @@ from .pattern import (
     detect,
     has_any_directive,
 )
-from .runner import BuildSpec, build, collect_timing, run
+from .runner import BuildSpec, SpawnFailure, build, collect_timing, run
 from .sections import ExperimentalSection, StateManifest, extract_sections, load_manifest_file
 
 log = logging.getLogger("pcaot")
@@ -129,10 +129,10 @@ class CampaignConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ParseError(f"{name} must be an integer of at least 1")
+        if any(type(b) is not int or b <= 0 for b in self.size_buckets):
+            raise ParseError("size_buckets must be positive integers")
         if any(b <= a for a, b in zip(self.size_buckets, self.size_buckets[1:])):
             raise ParseError("size_buckets must be strictly ascending")
-        if any(b <= 0 for b in self.size_buckets):
-            raise ParseError("size_buckets must be positive")
         tool_ids = [b.tool_id for b in self.llm_backends] + [
             c.tool_id for c in self.compiler_backends
         ]
@@ -228,7 +228,11 @@ class _Row:
 
 @dataclass(frozen=True)
 class OutcomeRecord(_Row):
-    """One validated version of one section."""
+    """One validated version of one section.
+
+    run_wall_ns is the wall time of the version's driver run, input reload
+    and every timing repeat included; None when the driver did not run.
+    """
 
     status: ValidationStatus
     category: OutcomeCategory
@@ -237,6 +241,7 @@ class OutcomeRecord(_Row):
     lines: int
     median_time_ns: int | None = None
     speedup: float | None = None
+    run_wall_ns: int | None = None
 
     def __post_init__(self) -> None:
         # Only passing candidates carry a speedup (it may still be absent
@@ -325,11 +330,14 @@ def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _S
             binary = build(generated, replace(config.build, workdir=capture_dir))
         except PcaotError as exc:
             raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
-        result = run(
-            binary,
-            timeout_s=config.timeout_s or CAPTURE_TIMEOUT_S,
-            env={"OMP_NUM_THREADS": str(config.threads)},
-        )
+        try:
+            result = run(
+                binary,
+                timeout_s=config.timeout_s or CAPTURE_TIMEOUT_S,
+                env={"OMP_NUM_THREADS": str(config.threads)},
+            )
+        except SpawnFailure as exc:
+            raise CaptureFailure(f"capture run for {sid!r} did not start: {exc}") from exc
         if result.timed_out:
             raise CaptureFailure(f"capture run for {sid!r} timed out")
         if result.exit_code != 0:
@@ -462,10 +470,11 @@ def _validate_code(
     config: CampaignConfig,
     scratch: Path,
     timeout_s: float,
-) -> tuple[ValidationStatus, int | None, int]:
+) -> tuple[ValidationStatus, int | None, int | None]:
     """Build, run, time and compare one candidate body.
 
-    Returns (status, median_ns, run_wall_ns)."""
+    Returns (status, median_ns, run_wall_ns); run_wall_ns is None when the
+    driver did not run."""
     try:
         generated = generate_replay_driver(
             code, ctx.manifest, config.timing_repeats, ctx.job.support_code
@@ -474,10 +483,14 @@ def _validate_code(
     except PcaotError as exc:
         detail = getattr(exc, "stderr", "") or str(exc)
         log.debug("candidate build failed in %s: %s", scratch.name, detail[:400])
-        return (ValidationStatus.COMPILE_ERROR, None, 0)
+        return (ValidationStatus.COMPILE_ERROR, None, None)
     if ctx.in_ckpt is not None:
         shutil.copyfile(ctx.in_ckpt, scratch / ctx.in_ckpt.name)
-    result = run(binary, timeout_s=timeout_s, env={"OMP_NUM_THREADS": str(config.threads)})
+    try:
+        result = run(binary, timeout_s=timeout_s, env={"OMP_NUM_THREADS": str(config.threads)})
+    except SpawnFailure as exc:
+        log.debug("candidate driver did not start in %s: %s", scratch.name, exc)
+        return (ValidationStatus.RUNTIME_ERROR, None, None)
     if result.timed_out:
         return (ValidationStatus.TIMEOUT, None, result.wall_time_ns)
     if result.exit_code != 0:
@@ -505,6 +518,7 @@ def _make_record(
     status: ValidationStatus,
     median_ns: int | None,
     serial_median_ns: int | None,
+    run_wall_ns: int | None = None,
 ) -> OutcomeRecord:
     detected = detect(code) if code else set()
     has_dirs = has_any_directive(code) if code else False
@@ -521,6 +535,7 @@ def _make_record(
         lines=ctx.section.line_count,
         median_time_ns=median_ns,
         speedup=speedup,
+        run_wall_ns=run_wall_ns,
     )
 
 
@@ -552,16 +567,15 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
         serial_key = _key(sid, serial)
         if serial_key in existing:
             serial_record = existing[serial_key]
-            baseline_wall = (serial_record.median_time_ns or 0) * config.timing_repeats
         else:
             serial_timeout = _candidate_timeout(config, ctx.capture_wall_ns)
             status, median, wall = _validate_code(
                 ctx.section.body_text, ctx, config, sdir / "serial", serial_timeout
             )
             serial_record = _make_record(
-                ctx, serial, ctx.section.body_text, status, median, serial_median_ns=median
+                ctx, serial, ctx.section.body_text, status, median,
+                serial_median_ns=median, run_wall_ns=wall,
             )
-            baseline_wall = wall
             _append_jsonl(records_path, serial_record.to_dict())
         records.append(serial_record)
         if serial_record.status is not ValidationStatus.PASS:
@@ -571,6 +585,10 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
                 serial_record.status.value,
             )
         serial_median = serial_record.median_time_ns
+        baseline_wall = serial_record.run_wall_ns
+        if baseline_wall is None:
+            # Rows written before run_wall_ns existed: a guess that leaves out the input reload.
+            baseline_wall = (serial_median or 0) * config.timing_repeats
         timeout_s = _candidate_timeout(config, baseline_wall)
 
         for origin in experiment.candidate_origins:
@@ -586,8 +604,8 @@ def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRec
             else:
                 _, tool, strategy, attempt = key
                 scratch = sdir / "candidates" / f"{tool}__{strategy or 'na'}__{attempt or 0}"
-                status, median, _ = _validate_code(row.code, ctx, config, scratch, timeout_s)
-                record = _make_record(ctx, origin, row.code, status, median, serial_median)
+                status, median, wall = _validate_code(row.code, ctx, config, scratch, timeout_s)
+                record = _make_record(ctx, origin, row.code, status, median, serial_median, wall)
             _append_jsonl(records_path, record.to_dict())
             records.append(record)
     return records
@@ -872,8 +890,16 @@ def _parse_llm_backend(doc, base: Path) -> MockLlm | LlmEndpointConfig:
         raise ParseError("llm backend entries must be objects with a tool_id")
     kind = doc.get("kind", "llm")
     if kind == "mock":
-        responses = dict(doc.get("responses", {}))
-        for section_key, rel in doc.get("response_files", {}).items():
+        responses = doc.get("responses", {})
+        files = doc.get("response_files", {})
+        if not (
+            isinstance(responses, dict)
+            and isinstance(files, dict)
+            and all(isinstance(v, str) for v in (*responses.values(), *files.values()))
+        ):
+            raise ParseError("mock responses and response_files must map keys to strings")
+        responses = dict(responses)
+        for section_key, rel in files.items():
             try:
                 responses[section_key] = _as_path(base, rel).read_text(encoding="utf-8")
             except OSError as exc:

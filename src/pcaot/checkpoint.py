@@ -195,7 +195,7 @@ class Tolerance:
 
     def __post_init__(self) -> None:
         for label, value in (("abs", self.abs), ("rel", self.rel)):
-            if not math.isfinite(value) or value < 0:
+            if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
                 raise ParseError(f"tolerance {label} must be finite and non-negative")
 
 

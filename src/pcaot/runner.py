@@ -6,6 +6,18 @@ one helper object, compiled from instrument.HELPER_SOURCE the first time a
 directory that is removed at exit.  Capture programs carry their own static
 copy of the helpers and are compiled alone.
 
+build() compiles each distinct source once per process.  Its memo is keyed
+by sha256 over (source kind, source text, compiler_cmd, flags).  A hit still
+writes the source into the new workdir, then writes the binary bytes kept
+from the first compile, with that compile's file mode, and calls no
+compiler.  The bytes live in memory, so a candidate that replaces its own
+./driver, or a deleted workdir, cannot change what a later hit gets.  A
+CompileFailure is kept too, and each hit raises a new one with the same
+message and stderr.  Not kept: ToolMissing, a failed helper object, and a
+compile that exits 0 without writing a binary.  The default flags put no
+path into the binary, so a hit gives the bytes a compile would have given;
+flags such as -g would keep the first workdir's path in the debug info.
+
 Timed runs are serialized through a module-level lock so concurrent
 validation work cannot distort measurements.  The environment mapping given
 to run() is merged over the parent environment; its normal use is setting
@@ -20,9 +32,12 @@ timings depend on whoever started the campaign.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import tempfile
 import threading
@@ -43,6 +58,9 @@ _TIMED_RUN_LOCK = threading.Lock()
 # (compiler_cmd, flags) -> (directory kept alive until exit, helper object)
 _HELPER_OBJECTS: dict[tuple[str, tuple[str, ...]], tuple[tempfile.TemporaryDirectory, Path]] = {}
 _HELPER_LOCK = threading.Lock()
+# build key -> (file mode, binary bytes) of the first compile, or its CompileFailure
+_BUILDS: dict[str, tuple[int, bytes] | CompileFailure] = {}
+_BUILDS_LOCK = threading.Lock()
 
 
 class CompileFailure(PcaotError):
@@ -159,21 +177,51 @@ def _helper_object(spec: BuildSpec) -> Path:
         return _HELPER_OBJECTS[key][1]
 
 
+def _build_key(source: GeneratedSource, spec: BuildSpec) -> str:
+    fields = [source.kind.value, source.text, spec.compiler_cmd, list(spec.flags)]
+    return hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
+
+
 def build(source: GeneratedSource, spec: BuildSpec) -> Path:
-    """Write the source into the workdir and compile it.
+    """Write the source into the workdir and compile it, once per distinct source.
 
     A replay driver is linked with the helper object (see the module
     docstring): its path follows the formatted compiler_cmd, before the
-    flags.  Returns the binary path; raises CompileFailure or ToolMissing,
-    also when the helper object does not compile.
+    flags.  A source already built in this process with the same kind,
+    compiler_cmd and flags is not compiled again: the binary bytes and file
+    mode of its first compile are written to the workdir, or its
+    CompileFailure is raised again.  Returns the binary path; raises
+    CompileFailure or ToolMissing, also when the helper object does not
+    compile.
     """
     workdir = Path(spec.workdir).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
     src_path = workdir / f"{source.kind.value}.c"
     out_path = workdir / source.kind.value
     src_path.write_text(source.text, encoding="utf-8")
-    is_driver = source.kind is SourceKind.REPLAY_DRIVER
-    _compile(spec, src_path, out_path, (str(_helper_object(spec)),) if is_driver else ())
+    key = _build_key(source, spec)
+    with _BUILDS_LOCK:
+        built = _BUILDS.get(key)
+    if isinstance(built, CompileFailure):
+        raise CompileFailure(str(built), stderr=built.stderr)
+    if built is not None:
+        mode, binary = built
+        # A new file, never one a candidate left behind (it may be a symlink).
+        out_path.unlink(missing_ok=True)
+        out_path.write_bytes(binary)
+        out_path.chmod(mode)
+        return out_path
+    # Resolved first, so a failed helper object is never kept as this key's result.
+    extra = (str(_helper_object(spec)),) if source.kind is SourceKind.REPLAY_DRIVER else ()
+    try:
+        _compile(spec, src_path, out_path, extra)
+    except CompileFailure as exc:
+        with _BUILDS_LOCK:
+            _BUILDS[key] = CompileFailure(str(exc), stderr=exc.stderr)
+        raise
+    if out_path.is_file():
+        with _BUILDS_LOCK:
+            _BUILDS[key] = (stat.S_IMODE(out_path.stat().st_mode), out_path.read_bytes())
     return out_path
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import stat
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcaot import campaign
 from pcaot.backends import CompilerDriverConfig, MockLlm, PromptStrategy
 from pcaot.campaign import (
     CampaignConfig,
@@ -144,8 +146,12 @@ def test_outcome_record_roundtrip():
         lines=7,
         median_time_ns=1234,
         speedup=2.5,
+        run_wall_ns=56789,
     )
     assert OutcomeRecord.from_dict(record.to_dict()) == record
+    # Rows written before run_wall_ns existed still load.
+    old_row = {k: v for k, v in record.to_dict().items() if k != "run_wall_ns"}
+    assert OutcomeRecord.from_dict(old_row).run_wall_ns is None
 
 
 def test_outcome_record_speedup_needs_pass():
@@ -243,6 +249,11 @@ def test_load_campaign_config_rejects_garbage(tmp_path):
         {"strategies": 3},
         {"tolerance": [1e-9]},
         {"build": "gcc {src} -o {out}"},
+        {"tolerance": {"abs": "1"}},
+        {"size_buckets": ["a", "b"]},
+        {"llm_backends": [{"kind": "http", "tool_id": "h", "endpoint": "http://localhost:1",
+                           "model": "m", "temperature": "0.2"}]},
+        {"llm_backends": [{"kind": "mock", "tool_id": "m", "responses": [1]}]},
     ],
 )
 def test_load_campaign_config_rejects_malformed_entries(tmp_path, capsys, doc):
@@ -502,6 +513,111 @@ def test_output_directory_rebuilds_a_driver(tmp_path):
     result = run(rebuilt / "driver", env={"OMP_NUM_THREADS": "1"})
     assert result.exit_code == 0, result.stderr
     assert (rebuilt / "tiny.out.ckpt").read_bytes() == (scratch / "tiny.out.ckpt").read_bytes()
+
+
+@needs_gcc
+def test_gcc_runs_once_per_distinct_driver(tmp_path):
+    script = tmp_path / "logging-gcc"
+    log = tmp_path / "gcc.log"
+    script.write_text(f'#!/bin/sh\necho "$1" >> {log}\nexec gcc "$@"\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    job = _write_section(tmp_path)
+    # Each strategy repeats itself; copyc hands back the serial code.
+    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": GARBAGE})
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(mock,),
+        compiler_backends=(CompilerDriverConfig(tool_id="copyc", command="cp {src} {out}"),),
+        attempts=2,
+        timing_repeats=1,
+        threads=1,
+        build=BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"),
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    statuses = {(r.tool, r.strategy, r.attempt): r.status for r in records}
+    assert statuses == {
+        ("serial", None, None): ValidationStatus.PASS,
+        ("copyc", None, None): ValidationStatus.PASS,
+        **{("mock", "IP", a): ValidationStatus.PASS for a in (1, 2)},
+        **{("mock", "DIP", a): ValidationStatus.NUMERIC_MISMATCH for a in (1, 2)},
+        **{("mock", "CoT", a): ValidationStatus.COMPILE_ERROR for a in (1, 2)},
+    }
+    # 4 distinct driver texts (serial = copyc, GOOD, WRONG, GARBAGE), one
+    # capture and one helper object.
+    compiled = [Path(line).name for line in log.read_text().splitlines()]
+    assert sorted(compiled) == ["capture.c"] + ["driver.c"] * 4 + ["pcaot_helpers.c"]
+    # Every version that built still has its own source and binary.
+    section = outdir / "sections" / "tiny"
+    version_dirs = [section / "serial", *(section / "candidates").iterdir()]
+    assert len(version_dirs) == 8
+    for version_dir in version_dirs:
+        assert (version_dir / "driver.c").is_file()
+        if "CoT" not in version_dir.name:
+            assert os.access(version_dir / "driver", os.X_OK)
+
+
+@needs_gcc
+@pytest.mark.parametrize("unstartable", ["capture.c", "driver.c"])
+def test_a_binary_that_cannot_start_is_not_a_crash(tmp_path, unstartable):
+    # gcc, except that one kind of program comes out as an empty file that
+    # cannot be executed.
+    script = tmp_path / "touch-cc"
+    script.write_text(
+        f'#!/bin/sh\ncase "$1" in *{unstartable}) : > "$3"; exit 0;; esac\nexec gcc "$@"\n'
+    )
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny": GOOD}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+        build=BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"),
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    if unstartable == "capture.c":
+        assert records == []  # the section is skipped
+    else:
+        assert {r.status for r in records} == {ValidationStatus.RUNTIME_ERROR}
+        assert all(r.run_wall_ns is None for r in records)
+
+
+@needs_gcc
+def test_resume_gives_candidates_the_fresh_timeout(tmp_path, monkeypatch):
+    # Without the floor, the candidate timeout is a multiple of the serial
+    # run's wall time, so a guessed wall time would show.
+    monkeypatch.setattr(campaign, "TIMEOUT_FLOOR_S", 0.0)
+    timeouts = []
+    real_run = campaign.run
+
+    def recording_run(binary, timeout_s=60.0, env=None):
+        if Path(binary).parent.parent.name == "candidates":
+            timeouts.append(timeout_s)
+        return real_run(binary, timeout_s=timeout_s, env=env)
+
+    monkeypatch.setattr(campaign, "run", recording_run)
+    job = _write_section(tmp_path)
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"tiny": GOOD}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=3,
+        threads=1,
+    )
+    outdir = tmp_path / "out"
+    first = execute(plan(config), config, outdir)
+    serial = first[0]
+    assert serial.tool == "serial" and serial.run_wall_ns > 0
+    assert timeouts == [campaign.TIMEOUT_FACTOR * serial.run_wall_ns / 1e9]
+    # Interrupted after the serial baseline: the candidate runs again on resume.
+    records_path = outdir / "records.jsonl"
+    records_path.write_text(records_path.read_text().splitlines()[0] + "\n")
+    execute(plan(config), config, outdir)
+    assert len(timeouts) == 2
+    assert timeouts[1] == timeouts[0]
 
 
 def test_produce_candidates_without_sources_skips(tmp_path):

@@ -1,6 +1,8 @@
 import os
+import shutil
 import stat
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,105 @@ def test_helper_compile_failure_is_a_compile_failure(tmp_path):
     calls = log.read_text().splitlines()
     assert len(calls) == 2
     assert all("pcaot_helpers.c" in argv for argv in calls)
+
+
+def _writing_compiler(tmp_path):
+    # Appends each argv to a log.  A source containing FAIL fails with a
+    # message naming its path; any other source is written to {out}, followed
+    # by the output path, with mode 751.  The path in the bytes and in the
+    # message tells a kept result from a fresh compile.
+    script = tmp_path / "writecc"
+    log = tmp_path / "argv.log"
+    script.write_text(
+        "#!/bin/sh\n"
+        f'echo "$@" >> {log}\n'
+        'if grep -q FAIL "$1"; then echo "writecc: cannot compile $1" >&2; exit 1; fi\n'
+        '{ cat "$1"; echo "$3"; } > "$3"\n'
+        'chmod 751 "$3"\n'
+    )
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return f"{script} {{src}} -o {{out}}", log
+
+
+def _source_compiles(log):
+    # Compiler calls other than the helper object's.
+    calls = [line.split() for line in log.read_text().splitlines()]
+    return [argv for argv in calls if not argv[0].endswith("pcaot_helpers.c")]
+
+
+def test_identical_sources_compile_once(tmp_path):
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    first = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d0"))
+    second = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d1"))
+    assert len(_source_compiles(log)) == 1
+    assert second.parent.name == "d1" and second.name == "driver"
+    assert (tmp_path / "d1" / "driver.c").read_text() == "a"
+    # The first build's bytes (its own path included) and mode.
+    assert second.read_bytes() == first.read_bytes()
+    assert str(first).encode() in second.read_bytes()
+    assert stat.S_IMODE(second.stat().st_mode) == 0o751
+
+
+def test_a_different_text_flags_compiler_or_kind_compiles_again(tmp_path):
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    base = BuildSpec(compiler_cmd=compiler_cmd)
+    variants = [
+        (_source("a"), base),
+        (_source("b"), base),
+        (_source("a"), replace(base, flags=("-O2",))),
+        (_source("a"), replace(base, compiler_cmd=compiler_cmd + " -DOTHER")),
+        (_source("a", kind=SourceKind.CAPTURE_PROGRAM), base),
+    ]
+    for i, (source, spec) in enumerate(variants):
+        build(source, replace(spec, workdir=tmp_path / f"v{i}"))
+        assert len(_source_compiles(log)) == i + 1
+    # Each of them is kept.
+    for i, (source, spec) in enumerate(variants):
+        build(source, replace(spec, workdir=tmp_path / f"again{i}"))
+    assert len(_source_compiles(log)) == len(variants)
+
+
+def test_compile_failure_is_kept(tmp_path):
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    failures = []
+    for i in range(2):
+        with pytest.raises(CompileFailure) as excinfo:
+            build(_source("FAIL"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}"))
+        failures.append(excinfo.value)
+    assert len(_source_compiles(log)) == 1
+    first, second = failures
+    assert second is not first
+    assert str(second) == str(first)
+    assert second.stderr == first.stderr == f"writecc: cannot compile {tmp_path / 'd0' / 'driver.c'}\n"
+
+
+def test_hit_ignores_what_happens_to_the_first_workdir(tmp_path):
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    first = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d0"))
+    original = first.read_bytes()
+    # A candidate runs in its workdir and may replace its own ./driver.
+    first.unlink()
+    first.write_bytes(b"replaced")
+    second = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d1"))
+    assert second.read_bytes() == original
+    shutil.rmtree(tmp_path / "d0")
+    # A driver left in the workdir is replaced, not written through.
+    victim = tmp_path / "victim"
+    victim.write_text("keep")
+    (tmp_path / "d2").mkdir()
+    (tmp_path / "d2" / "driver").symlink_to(victim)
+    third = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d2"))
+    assert not third.is_symlink() and third.read_bytes() == original
+    assert victim.read_text() == "keep"
+    assert len(_source_compiles(log)) == 1
+
+
+def test_compile_without_output_is_not_kept(tmp_path):
+    # The argv-logging compiler exits 0 and writes nothing.
+    compiler_cmd, log = _argv_logging_compiler(tmp_path)
+    for i in range(2):
+        build(_source("x"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}"))
+    assert len(_source_compiles(log)) == 2
 
 
 @needs_gcc
