@@ -539,15 +539,18 @@ def _make_record(
     )
 
 
-def validate_candidates(config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
-    """Capture, produce and validate everything the config describes.
+def validate_candidates(
+    config: CampaignConfig, outdir: Path, experiment: ExperimentPlan | None = None
+) -> list[OutcomeRecord]:
+    """Capture, produce and validate everything the plan describes.
 
-    Returns records in deterministic order: sections in config order, the
-    serial baseline first, then candidates by (tool, strategy, attempt).
-    Existing records.jsonl rows are reused, new ones appended.
+    The plan defaults to plan(config).  Returns records in deterministic
+    order: sections in plan order, the serial baseline first, then
+    candidates by (tool, strategy, attempt).  Existing records.jsonl rows
+    are reused, new ones appended.
     """
     outdir = _ensure_dir(outdir)
-    experiment = plan(config)
+    experiment = experiment or plan(config)
     _write_text(outdir / "pcaot_helpers.c", HELPER_SOURCE)
     records_path = outdir / "records.jsonl"
     existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
@@ -620,7 +623,7 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     """
     if not experiment.jobs:
         raise EmptyCampaign("experiment plan lists no sections")
-    return validate_candidates(config, outdir)
+    return validate_candidates(config, outdir, experiment)
 
 
 @dataclass(frozen=True)
@@ -751,11 +754,12 @@ def aggregate(records: list[OutcomeRecord], config: CampaignConfig) -> Metrics:
     )
 
 
-def _job_section_id(job: SectionJob) -> str:
+def _job_section_id(job: SectionJob) -> str | None:
+    """The section id job's manifest names, or None when it cannot be read."""
     try:
         return load_manifest_file(job.manifest_path).section_id
     except (OSError, PcaotError):
-        return ""
+        return None
 
 
 def _ensure_dir(path: Path) -> Path:

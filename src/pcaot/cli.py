@@ -29,6 +29,7 @@ from .campaign import (
     CampaignConfig,
     CaptureFailure,
     OutcomeRecord,
+    _job_section_id,
     _load_jsonl,
     aggregate,
     capture_section,
@@ -98,13 +99,7 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
         config = replace(config, threads=args.threads)
     section = getattr(args, "section", None)
     if section is not None:
-        keep = []
-        for job in config.sections:
-            try:
-                if load_manifest_file(job.manifest_path).section_id == section:
-                    keep.append(job)
-            except (OSError, PcaotError):
-                continue
+        keep = [job for job in config.sections if _job_section_id(job) == section]
         if not keep:
             raise UsageError(f"no configured section has id {section!r}")
         config = replace(config, sections=tuple(keep))
@@ -181,19 +176,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 1 if errored else 0
 
 
-def _planned_section_ids(config: CampaignConfig) -> set[str]:
-    ids = set()
-    for job in config.sections:
-        try:
-            ids.add(load_manifest_file(job.manifest_path).section_id)
-        except (OSError, PcaotError):
-            ids.add(f"<unreadable: {job.manifest_path}>")
-    return ids
-
-
 def _summarize(records: list[OutcomeRecord], config: CampaignConfig) -> dict:
-    recorded = {r.section_id for r in records}
-    skipped = sorted(_planned_section_ids(config) - recorded)
+    planned = {
+        _job_section_id(job) or f"<unreadable: {job.manifest_path}>" for job in config.sections
+    }
+    skipped = sorted(planned - {r.section_id for r in records})
     failures = sum(1 for r in records if r.status is not ValidationStatus.PASS)
     return {
         "records": len(records),

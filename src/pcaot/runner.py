@@ -1,22 +1,25 @@
 """Compile and execute generated programs; collect their timing lines.
 
-A replay driver only declares the checkpoint helpers.  build() links it with
-one helper object, compiled from instrument.HELPER_SOURCE the first time a
-(compiler_cmd, flags) pair builds a driver in this process, into a temporary
-directory that is removed at exit.  Capture programs carry their own static
-copy of the helpers and are compiled alone.
+A replay driver only declares the checkpoint helpers.  build() writes
+instrument.HELPER_SOURCE as pcaot_helpers.c into the driver's workdir,
+makes pcaot_helpers.o from it there with -c, and links the driver with that
+object.  Capture programs carry their own static copy of the helpers and are
+compiled alone.  build() creates nothing outside the workdir.
 
-build() compiles each distinct source once per process.  Its memo is keyed
-by sha256 over (source kind, source text, compiler_cmd, flags).  A hit still
-writes the source into the new workdir, then writes the binary bytes kept
-from the first compile, with that compile's file mode, and calls no
-compiler.  The bytes live in memory, so a candidate that replaces its own
-./driver, or a deleted workdir, cannot change what a later hit gets.  A
-CompileFailure is kept too, and each hit raises a new one with the same
-message and stderr.  Not kept: ToolMissing, a failed helper object, and a
-compile that exits 0 without writing a binary.  The default flags put no
-path into the binary, so a hit gives the bytes a compile would have given;
-flags such as -g would keep the first workdir's path in the debug info.
+build() compiles each distinct source once per process; the helper object
+is one more entry of the same memo.  The memo is keyed by sha256 over
+(output name, source text, compiler_cmd, flags); the output name (driver,
+capture or pcaot_helpers.o) stands for the kind.  A hit still writes the
+source into the new workdir, then writes the output bytes kept from the
+first compile, with that compile's file mode, and calls no compiler.  The
+bytes live in memory, so a candidate that replaces its own ./driver or
+./pcaot_helpers.o, or a deleted workdir, cannot change what a later hit gets
+or what a later driver links.  A CompileFailure is kept too, and each hit
+raises a new one with the same message and stderr.  Not kept: ToolMissing
+and a compile that exits 0 without writing its output.  The default flags
+put no path into the output, so a hit gives the bytes a compile would have
+given; flags such as -g would keep the first workdir's path in the debug
+info.
 
 Timed runs are serialized through a module-level lock so concurrent
 validation work cannot distort measurements.  The environment mapping given
@@ -39,7 +42,6 @@ import re
 import shlex
 import stat
 import subprocess
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -55,10 +57,7 @@ OMP_PLACEMENT = {"OMP_PROC_BIND": "spread", "OMP_PLACES": "cores"}
 
 _TIMING_RE = re.compile(r"^PCAOT_TIME_NS\s+(\d+)\s*$", re.MULTILINE)
 _TIMED_RUN_LOCK = threading.Lock()
-# (compiler_cmd, flags) -> (directory kept alive until exit, helper object)
-_HELPER_OBJECTS: dict[tuple[str, tuple[str, ...]], tuple[tempfile.TemporaryDirectory, Path]] = {}
-_HELPER_LOCK = threading.Lock()
-# build key -> (file mode, binary bytes) of the first compile, or its CompileFailure
+# build key -> (file mode, output bytes) of the first compile, or its CompileFailure
 _BUILDS: dict[str, tuple[int, bytes] | CompileFailure] = {}
 _BUILDS_LOCK = threading.Lock()
 
@@ -160,59 +159,28 @@ def _compile(spec: BuildSpec, src_path: Path, out_path: Path, extra: tuple[str, 
         )
 
 
-def _helper_object(spec: BuildSpec) -> Path:
-    """The helper object for spec's compiler and flags, compiled on first use.
+def _compile_once(
+    text: str, src_path: Path, out_path: Path, spec: BuildSpec, extra: tuple[str, ...]
+) -> None:
+    """Write text to src_path and make out_path from it, compiling once per process.
 
-    A failed compile is not cached; its directory goes with it.
+    On a memo hit the kept bytes and mode are written to out_path, or the
+    kept CompileFailure is raised again (see the module docstring).
     """
-    key = (spec.compiler_cmd, tuple(spec.flags))
-    with _HELPER_LOCK:
-        if key not in _HELPER_OBJECTS:
-            tmp = tempfile.TemporaryDirectory(prefix="pcaot-helpers-")
-            src_path = Path(tmp.name) / "pcaot_helpers.c"
-            obj_path = Path(tmp.name) / "pcaot_helpers.o"
-            src_path.write_text(HELPER_SOURCE, encoding="utf-8")
-            _compile(spec, src_path, obj_path, ("-c",))
-            _HELPER_OBJECTS[key] = (tmp, obj_path)
-        return _HELPER_OBJECTS[key][1]
-
-
-def _build_key(source: GeneratedSource, spec: BuildSpec) -> str:
-    fields = [source.kind.value, source.text, spec.compiler_cmd, list(spec.flags)]
-    return hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
-
-
-def build(source: GeneratedSource, spec: BuildSpec) -> Path:
-    """Write the source into the workdir and compile it, once per distinct source.
-
-    A replay driver is linked with the helper object (see the module
-    docstring): its path follows the formatted compiler_cmd, before the
-    flags.  A source already built in this process with the same kind,
-    compiler_cmd and flags is not compiled again: the binary bytes and file
-    mode of its first compile are written to the workdir, or its
-    CompileFailure is raised again.  Returns the binary path; raises
-    CompileFailure or ToolMissing, also when the helper object does not
-    compile.
-    """
-    workdir = Path(spec.workdir).resolve()
-    workdir.mkdir(parents=True, exist_ok=True)
-    src_path = workdir / f"{source.kind.value}.c"
-    out_path = workdir / source.kind.value
-    src_path.write_text(source.text, encoding="utf-8")
-    key = _build_key(source, spec)
+    src_path.write_text(text, encoding="utf-8")
+    fields = [out_path.name, text, spec.compiler_cmd, list(spec.flags)]
+    key = hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
     with _BUILDS_LOCK:
         built = _BUILDS.get(key)
     if isinstance(built, CompileFailure):
         raise CompileFailure(str(built), stderr=built.stderr)
     if built is not None:
-        mode, binary = built
+        mode, output = built
         # A new file, never one a candidate left behind (it may be a symlink).
         out_path.unlink(missing_ok=True)
-        out_path.write_bytes(binary)
+        out_path.write_bytes(output)
         out_path.chmod(mode)
-        return out_path
-    # Resolved first, so a failed helper object is never kept as this key's result.
-    extra = (str(_helper_object(spec)),) if source.kind is SourceKind.REPLAY_DRIVER else ()
+        return
     try:
         _compile(spec, src_path, out_path, extra)
     except CompileFailure as exc:
@@ -222,6 +190,29 @@ def build(source: GeneratedSource, spec: BuildSpec) -> Path:
     if out_path.is_file():
         with _BUILDS_LOCK:
             _BUILDS[key] = (stat.S_IMODE(out_path.stat().st_mode), out_path.read_bytes())
+
+
+def build(source: GeneratedSource, spec: BuildSpec) -> Path:
+    """Write the source into the workdir and compile it, once per distinct source.
+
+    A replay driver is first given pcaot_helpers.c and pcaot_helpers.o in
+    its workdir, and that object's path follows the formatted compiler_cmd,
+    before the flags, when the driver is linked.  A source already built in
+    this process with the same kind, compiler_cmd and flags is not compiled
+    again: the bytes and file mode of its first compile are written to the
+    workdir, or its CompileFailure is raised again (see the module
+    docstring).  Returns the binary path; raises CompileFailure or
+    ToolMissing, also when the helper object does not compile.
+    """
+    workdir = Path(spec.workdir).resolve()
+    workdir.mkdir(parents=True, exist_ok=True)
+    extra: tuple[str, ...] = ()
+    if source.kind is SourceKind.REPLAY_DRIVER:
+        helper = workdir / "pcaot_helpers.o"
+        _compile_once(HELPER_SOURCE, workdir / "pcaot_helpers.c", helper, spec, ("-c",))
+        extra = (str(helper),)
+    out_path = workdir / source.kind.value
+    _compile_once(source.text, workdir / f"{source.kind.value}.c", out_path, spec, extra)
     return out_path
 
 
@@ -254,7 +245,7 @@ def run(
                 text=True,
                 env=full_env,
             )
-        except (FileNotFoundError, PermissionError, OSError) as exc:
+        except OSError as exc:
             raise SpawnFailure(f"cannot start {binary}: {exc}") from exc
         try:
             stdout, stderr = proc.communicate(timeout=timeout_s)

@@ -3,6 +3,7 @@ import os
 import shutil
 import stat
 import subprocess
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,29 @@ def test_execute_resume_skips_done_work(tmp_path):
     # No new LLM traffic, identical records.
     assert len(mock.calls) == calls_after_first
     assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+
+
+@needs_gcc
+def test_execute_validates_only_the_planned_sections(tmp_path):
+    first = _write_section(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "tiny2.c").write_text(SECTION_SOURCE.replace("id=tiny", "id=tiny2"))
+    (other / "tiny2.json").write_text(json.dumps({**SECTION_MANIFEST, "section_id": "tiny2"}))
+    second = SectionJob(source_path=other / "tiny2.c", manifest_path=other / "tiny2.json")
+    config = CampaignConfig(
+        sections=(first, second),
+        llm_backends=(CountingMock("mock", {"tiny": GOOD, "tiny2": GOOD}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    experiment = replace(plan(config), jobs=config.sections[:1])
+    outdir = tmp_path / "out"
+    records = execute(experiment, config, outdir)
+    assert {(r.section_id, r.tool) for r in records} == {("tiny", "serial"), ("tiny", "mock")}
+    assert not (outdir / "sections" / "tiny2").exists()
 
 
 @needs_gcc

@@ -97,6 +97,22 @@ def test_section_filter_unknown_id_exits_two(tmp_path):
     assert code == 2
 
 
+def test_validate_lists_an_unreadable_manifest(tmp_path, capsys):
+    missing = tmp_path / "missing.manifest.json"
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({
+        "sections": [{"source": str(SAMPLES / "vecscale.c"), "manifest": str(missing)}],
+        "llm_backends": [{"kind": "mock", "tool_id": "mockllm"}],
+    }))
+    code = main(
+        ["validate", "--config", str(config), "--out", str(tmp_path / "out"), "--json"]
+    )
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["records"] == 0
+    assert doc["skipped_sections"] == [f"<unreadable: {missing}>"]
+
+
 def test_report_without_records_fails(tmp_path, capsys):
     code = main(
         ["report", "--config", str(SAMPLES / "campaign.json"), "--out", str(tmp_path)]

@@ -1,14 +1,16 @@
 import os
 import shutil
 import stat
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcaot.instrument import GeneratedSource, SourceKind
+from pcaot.instrument import HELPER_SOURCE, GeneratedSource, SourceKind
 from pcaot.runner import (
     BuildSpec,
     CompileFailure,
@@ -75,7 +77,7 @@ def test_flags_are_appended(workdir, tmp_path):
 def _argv_logging_compiler(tmp_path, fail_on=None):
     # Appends each argv to a log; exits 1 with a message when an argument
     # names fail_on.  The script path is per test, so the process-wide
-    # helper object cache sees a fresh compiler_cmd.
+    # build memo sees a fresh compiler_cmd.
     script = tmp_path / "fakecc"
     log = tmp_path / "argv.log"
     fail = (
@@ -86,51 +88,6 @@ def _argv_logging_compiler(tmp_path, fail_on=None):
     script.write_text(f'#!/bin/sh\necho "$@" >> {log}\n{fail}exit 0\n')
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     return f"{script} {{src}} -o {{out}}", log
-
-
-def test_driver_builds_share_one_helper_object(tmp_path):
-    compiler_cmd, log = _argv_logging_compiler(tmp_path)
-    for i in range(3):
-        spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}")
-        build(_source("x"), spec)
-    calls = [line.split() for line in log.read_text().splitlines()]
-    helper_compiles = [argv for argv in calls if argv[0].endswith("pcaot_helpers.c")]
-    assert len(helper_compiles) == 1
-    assert helper_compiles[0][3:] == ["-c", "-O3", "-fopenmp"]
-    helper_obj = helper_compiles[0][2]
-    assert helper_obj.endswith("pcaot_helpers.o")
-    drivers = [argv for argv in calls if argv[0].endswith("driver.c")]
-    assert len(drivers) == 3
-    assert all(argv[3] == helper_obj and "-c" not in argv for argv in drivers)
-
-    # Other flags need an object of their own.
-    other = BuildSpec(compiler_cmd=compiler_cmd, flags=("-O2",), workdir=tmp_path / "o2")
-    build(_source("x"), other)
-    calls = [line.split() for line in log.read_text().splitlines()]
-    helper_compiles = [argv for argv in calls if argv[0].endswith("pcaot_helpers.c")]
-    assert len(helper_compiles) == 2
-    assert helper_compiles[1][2] != helper_obj
-    assert calls[-1][3] == helper_compiles[1][2]
-
-    # A capture carries its own copy of the helpers.
-    capture = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "cap")
-    build(_source("x", kind=SourceKind.CAPTURE_PROGRAM), capture)
-    argv = log.read_text().splitlines()[-1].split()
-    assert argv[0].endswith("capture.c")
-    assert not any(arg.endswith(".o") for arg in argv)
-
-
-def test_helper_compile_failure_is_a_compile_failure(tmp_path):
-    compiler_cmd, log = _argv_logging_compiler(tmp_path, fail_on="pcaot_helpers.c")
-    spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d")
-    for _ in range(2):
-        with pytest.raises(CompileFailure) as excinfo:
-            build(_source("x"), spec)
-        assert excinfo.value.stderr == "fakecc: cannot compile pcaot_helpers.c\n"
-    # A failed helper compile is not cached, and no driver compile follows it.
-    calls = log.read_text().splitlines()
-    assert len(calls) == 2
-    assert all("pcaot_helpers.c" in argv for argv in calls)
 
 
 def _writing_compiler(tmp_path):
@@ -155,6 +112,89 @@ def _source_compiles(log):
     # Compiler calls other than the helper object's.
     calls = [line.split() for line in log.read_text().splitlines()]
     return [argv for argv in calls if not argv[0].endswith("pcaot_helpers.c")]
+
+
+def _helper_compiles(log):
+    calls = [line.split() for line in log.read_text().splitlines()]
+    return [argv for argv in calls if argv[0].endswith("pcaot_helpers.c")]
+
+
+def test_driver_builds_share_one_helper_object(tmp_path):
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    workdirs = [(tmp_path / f"d{i}").resolve() for i in range(3)]
+    for i, workdir in enumerate(workdirs):
+        build(_source(f"x{i}"), BuildSpec(compiler_cmd=compiler_cmd, workdir=workdir))
+    helper_compiles = _helper_compiles(log)
+    assert len(helper_compiles) == 1
+    assert helper_compiles[0][3:] == ["-c", "-O3", "-fopenmp"]
+    # Each driver links the object in its own workdir: the first compile's bytes.
+    drivers = _source_compiles(log)
+    assert len(drivers) == 3
+    for argv, workdir in zip(drivers, workdirs):
+        assert argv[3] == str(workdir / "pcaot_helpers.o") and "-c" not in argv
+        assert (workdir / "pcaot_helpers.c").read_text() == HELPER_SOURCE
+        assert (workdir / "pcaot_helpers.o").read_bytes() == (
+            workdirs[0] / "pcaot_helpers.o"
+        ).read_bytes()
+
+    # Other flags need an object of their own.
+    other = BuildSpec(compiler_cmd=compiler_cmd, flags=("-O2",), workdir=tmp_path / "o2")
+    build(_source("x0"), other)
+    helper_compiles = _helper_compiles(log)
+    assert len(helper_compiles) == 2
+    assert helper_compiles[1][3:] == ["-c", "-O2"]
+    assert _source_compiles(log)[-1][3] == str((tmp_path / "o2" / "pcaot_helpers.o").resolve())
+
+    # A capture carries its own copy of the helpers.
+    capture = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "cap")
+    build(_source("x", kind=SourceKind.CAPTURE_PROGRAM), capture)
+    argv = log.read_text().splitlines()[-1].split()
+    assert argv[0].endswith("capture.c")
+    assert not any(arg.endswith(".o") for arg in argv)
+
+
+def test_helper_compile_failure_is_a_compile_failure(tmp_path):
+    compiler_cmd, log = _argv_logging_compiler(tmp_path, fail_on="pcaot_helpers.c")
+    failures = []
+    for i in range(2):
+        spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}")
+        with pytest.raises(CompileFailure) as excinfo:
+            build(_source("x"), spec)
+        assert excinfo.value.stderr == "fakecc: cannot compile pcaot_helpers.c\n"
+        failures.append(excinfo.value)
+    # The failure is kept: the second build calls no compiler, and no driver
+    # compile follows either of them.
+    assert str(failures[1]) == str(failures[0])
+    calls = log.read_text().splitlines()
+    assert len(calls) == 1
+    assert "pcaot_helpers.c" in calls[0]
+
+
+def test_build_creates_nothing_outside_its_workdir(tmp_path, monkeypatch):
+    compiler_cmd, _ = _writing_compiler(tmp_path)
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d"))
+    build(
+        _source("a", kind=SourceKind.CAPTURE_PROGRAM),
+        BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "c"),
+    )
+    assert list(tmpdir.iterdir()) == []
+
+
+def test_a_replaced_helper_object_does_not_reach_later_drivers(tmp_path):
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d0"))
+    linked = Path(_source_compiles(log)[-1][3])
+    original = linked.read_bytes()
+    # A candidate runs in its workdir and may overwrite the object it was linked with.
+    linked.write_bytes(b"replaced")
+    build(_source("b"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d1"))
+    assert len(_helper_compiles(log)) == 1
+    linked_next = Path(_source_compiles(log)[-1][3])
+    assert linked_next.read_bytes() == original
 
 
 def test_identical_sources_compile_once(tmp_path):
