@@ -6,7 +6,8 @@ backends, plus the serial original), validates every candidate against the
 captured reference state, and aggregates the outcome records into metrics
 and charts.  Candidates of every backend, LLM or compiler, are produced
 through one thread pool of config.max_inflight workers and persisted in
-plan order.
+plan order.  Every source that validation then builds is queued at once on
+runner's compile pool, before the first capture runs.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -63,7 +64,7 @@ from .pattern import (
     detect,
     has_any_directive,
 )
-from .runner import BuildSpec, SpawnFailure, build, collect_timing, run
+from .runner import BuildSpec, SpawnFailure, build, collect_timing, run, start_build
 from .sections import ExperimentalSection, StateManifest, extract_sections, load_manifest_file
 
 log = logging.getLogger("pcaot")
@@ -280,6 +281,29 @@ def _safe_name(section_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.\-]", "_", section_id)
 
 
+def _capture_dir(outdir: Path, section_id: str) -> Path:
+    return Path(outdir) / "sections" / _safe_name(section_id) / "capture"
+
+
+def _version_dir(outdir: Path, section_id: str, origin: Origin) -> Path:
+    """A version's driver workdir: serial/ or candidates/<tool>__<strategy>__<attempt>/."""
+    sdir = Path(outdir) / "sections" / _safe_name(section_id)
+    if origin.tool_id == SERIAL_TOOL_ID:
+        return sdir / "serial"
+    _, tool, strategy, attempt = _key(section_id, origin)
+    return sdir / "candidates" / f"{tool}__{strategy or 'na'}__{attempt or 0}"
+
+
+def _is_captured(capture_dir: Path, manifest: StateManifest) -> bool:
+    """Whether an earlier capture left its checkpoints and meta.json in capture_dir."""
+    sid = manifest.section_id
+    return (
+        (capture_dir / output_checkpoint_name(sid)).is_file()
+        and (not manifest.inputs or (capture_dir / input_checkpoint_name(sid)).is_file())
+        and (capture_dir / "meta.json").is_file()
+    )
+
+
 @dataclass(frozen=True)
 class _SectionContext:
     """Everything validation needs about one captured section."""
@@ -318,13 +342,13 @@ def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _S
     """
     section, manifest, source_text = _load_section(job)
     sid = manifest.section_id
-    capture_dir = Path(outdir) / "sections" / _safe_name(sid) / "capture"
+    capture_dir = _capture_dir(outdir, sid)
     in_path = capture_dir / input_checkpoint_name(sid)
     out_path = capture_dir / output_checkpoint_name(sid)
     meta_path = capture_dir / "meta.json"
     needs_input = bool(manifest.inputs)
 
-    if not (out_path.is_file() and (not needs_input or in_path.is_file()) and meta_path.is_file()):
+    if not _is_captured(capture_dir, manifest):
         generated = generate_capture_program(source_text, section, manifest)
         try:
             binary = build(generated, replace(config.build, workdir=capture_dir))
@@ -539,15 +563,62 @@ def _make_record(
     )
 
 
+def _start_builds(
+    config: CampaignConfig,
+    outdir: Path,
+    experiment: ExperimentPlan,
+    existing: dict[tuple, OutcomeRecord],
+    rows: dict[tuple, CandidateRow],
+) -> None:
+    """Queue the compile of everything validate_candidates' section loop builds.
+
+    That is each capture not yet captured, each serial driver without a
+    record, and each candidate driver with code and without a record.  A
+    section that does not load, or a source that does not generate, is left
+    to the loop, which reports it.
+    """
+    for job in experiment.jobs:
+        try:
+            section, manifest, source_text = _load_section(job)
+        except CaptureFailure:
+            continue
+        sid = manifest.section_id
+        capture_dir = _capture_dir(outdir, sid)
+        if not _is_captured(capture_dir, manifest):
+            _start_one(
+                config, capture_dir, generate_capture_program, source_text, section, manifest
+            )
+        versions = [(Origin(tool_id=SERIAL_TOOL_ID), section.body_text)]
+        for origin in experiment.candidate_origins:
+            row = rows.get(_key(sid, origin))
+            versions.append((origin, row.code if row is not None else None))
+        for origin, code in versions:
+            if code is not None and _key(sid, origin) not in existing:
+                _start_one(
+                    config, _version_dir(outdir, sid, origin), generate_replay_driver,
+                    code, manifest, config.timing_repeats, job.support_code,
+                )
+
+
+def _start_one(config: CampaignConfig, workdir: Path, generate, *args) -> None:
+    try:
+        generated = generate(*args)
+    except PcaotError:
+        return
+    start_build(generated, replace(config.build, workdir=workdir))
+
+
 def validate_candidates(
     config: CampaignConfig, outdir: Path, experiment: ExperimentPlan | None = None
 ) -> list[OutcomeRecord]:
     """Capture, produce and validate everything the plan describes.
 
-    The plan defaults to plan(config).  Returns records in deterministic
-    order: sections in plan order, the serial baseline first, then
-    candidates by (tool, strategy, attempt).  Existing records.jsonl rows
-    are reused, new ones appended.
+    The plan defaults to plan(config).  Once the candidates exist, every
+    source the campaign will build is queued at once (runner.start_build),
+    so the first build() call waits for all of them and later ones are memo
+    hits.  Returns records in deterministic order: sections in plan order,
+    the serial baseline first, then candidates by (tool, strategy, attempt).
+    Existing records.jsonl rows are reused, new ones appended.
     """
     outdir = _ensure_dir(outdir)
     experiment = experiment or plan(config)
@@ -555,6 +626,7 @@ def validate_candidates(
     records_path = outdir / "records.jsonl"
     existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
     rows = produce_candidates(config, outdir, experiment)
+    _start_builds(config, outdir, experiment, existing, rows)
     records: list[OutcomeRecord] = []
 
     for job in experiment.jobs:
@@ -564,16 +636,16 @@ def validate_candidates(
             log.warning("section skipped: %s", exc)
             continue
         sid = ctx.manifest.section_id
-        sdir = outdir / "sections" / _safe_name(sid)
 
         serial = Origin(tool_id=SERIAL_TOOL_ID)
         serial_key = _key(sid, serial)
         if serial_key in existing:
             serial_record = existing[serial_key]
         else:
+            serial_dir = _version_dir(outdir, sid, serial)
             serial_timeout = _candidate_timeout(config, ctx.capture_wall_ns)
             status, median, wall = _validate_code(
-                ctx.section.body_text, ctx, config, sdir / "serial", serial_timeout
+                ctx.section.body_text, ctx, config, serial_dir, serial_timeout
             )
             serial_record = _make_record(
                 ctx, serial, ctx.section.body_text, status, median,
@@ -605,8 +677,7 @@ def validate_candidates(
                     ctx, origin, None, ValidationStatus.EXTRACTION_ERROR, None, serial_median
                 )
             else:
-                _, tool, strategy, attempt = key
-                scratch = sdir / "candidates" / f"{tool}__{strategy or 'na'}__{attempt or 0}"
+                scratch = _version_dir(outdir, sid, origin)
                 status, median, wall = _validate_code(row.code, ctx, config, scratch, timeout_s)
                 record = _make_record(ctx, origin, row.code, status, median, serial_median, wall)
             _append_jsonl(records_path, record.to_dict())

@@ -252,6 +252,10 @@ def compare(
     bit-equal; a float element passes iff |ref - cand| <= tol.abs +
     tol.rel * |ref|, with NaN matching NaN.  Status precedence:
     MissingVariable > ShapeMismatch > TypeMismatch > NumericMismatch.
+    A variable whose candidate payload bytes equal the reference's is
+    skipped without float math: each of its elements has zero error (an
+    inf or a NaN against its own bits changes no worst error either).
+    Bytes that differ, -0.0 against 0.0 included, are compared in full.
 
     The reference must contain every out/inout manifest variable; a
     reference that does not is a caller error and raises ValueError.
@@ -284,8 +288,11 @@ def compare(
     offender: tuple[str, int] | None = None
     offender_err = -math.inf
     for var in checked:
-        ref_vals = ref_map[var.name].values().ravel()
-        cand_vals = cand_map[var.name].values().ravel()
+        ref_rec, cand_rec = ref_map[var.name], cand_map[var.name]
+        if ref_rec.payload == cand_rec.payload and ref_rec.elem_type == cand_rec.elem_type:
+            continue
+        ref_vals = ref_rec.values().ravel()
+        cand_vals = cand_rec.values().ravel()
         if var.elem_type in FLOAT_TYPES:
             abs_err, rel_err, nan_ref = _float_errors(ref_vals, cand_vals)
             allowed = tol.abs + tol.rel * np.abs(ref_vals.astype(np.float64, copy=False))

@@ -21,8 +21,19 @@ put no path into the output, so a hit gives the bytes a compile would have
 given; flags such as -g would keep the first workdir's path in the debug
 info.
 
+Compiles run on a module-level pool with one thread per usable core.
+start_build() writes the sources into the workdir and queues their compiles
+without waiting; a replay driver's helper object is queued before the driver,
+whose compile waits for it.  build() is start_build(), then a wait until no
+compile is queued or running, whoever started it, then the write of its own
+outputs.  So a caller that starts every build of a batch first has the whole
+batch compiled, on every core, inside its first build() call, and each later
+build() is a memo hit.  One workdir takes one source at a time.
+
 Timed runs are serialized through a module-level lock so concurrent
-validation work cannot distort measurements.  The environment mapping given
+validation work cannot distort measurements, and each waits, holding that
+lock, until no compile started before it is queued or running: a timed run
+does not share the cores with the compiler.  The environment mapping given
 to run() is merged over the parent environment; its normal use is setting
 OMP_NUM_THREADS.
 
@@ -44,6 +55,7 @@ import stat
 import subprocess
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,9 +69,12 @@ OMP_PLACEMENT = {"OMP_PROC_BIND": "spread", "OMP_PLACES": "cores"}
 
 _TIMING_RE = re.compile(r"^PCAOT_TIME_NS\s+(\d+)\s*$", re.MULTILINE)
 _TIMED_RUN_LOCK = threading.Lock()
-# build key -> (file mode, output bytes) of the first compile, or its CompileFailure
-_BUILDS: dict[str, tuple[int, bytes] | CompileFailure] = {}
+_HELPER_OBJECT = "pcaot_helpers.o"
+# build key -> Future of the first compile's (file mode, output bytes), or of its CompileFailure
+_BUILDS: dict[str, Future] = {}
 _BUILDS_LOCK = threading.Lock()
+# Threads start on the first submit, not at import.
+_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="pcaot-build")
 
 
 class CompileFailure(PcaotError):
@@ -159,37 +174,119 @@ def _compile(spec: BuildSpec, src_path: Path, out_path: Path, extra: tuple[str, 
         )
 
 
-def _compile_once(
-    text: str, src_path: Path, out_path: Path, spec: BuildSpec, extra: tuple[str, ...]
-) -> None:
-    """Write text to src_path and make out_path from it, compiling once per process.
-
-    On a memo hit the kept bytes and mode are written to out_path, or the
-    kept CompileFailure is raised again (see the module docstring).
-    """
-    src_path.write_text(text, encoding="utf-8")
-    fields = [out_path.name, text, spec.compiler_cmd, list(spec.flags)]
-    key = hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
-    with _BUILDS_LOCK:
-        built = _BUILDS.get(key)
-    if isinstance(built, CompileFailure):
-        raise CompileFailure(str(built), stderr=built.stderr)
-    if built is not None:
-        mode, output = built
+def _place(kept: tuple[int, bytes] | CompileFailure | None, out_path: Path) -> None:
+    """Write a kept compile's bytes and mode to out_path, or raise a new copy of its failure."""
+    if isinstance(kept, CompileFailure):
+        raise CompileFailure(str(kept), stderr=kept.stderr)
+    if kept is not None:
+        mode, output = kept
         # A new file, never one a candidate left behind (it may be a symlink).
         out_path.unlink(missing_ok=True)
         out_path.write_bytes(output)
         out_path.chmod(mode)
-        return
+
+
+def _compile_kept(
+    spec: BuildSpec,
+    src_path: Path,
+    out_path: Path,
+    extra: tuple[str, ...],
+    helper: Future | None,
+) -> tuple[int, bytes] | CompileFailure | None:
+    """Compile src_path into out_path; None when there is nothing to keep.
+
+    A driver first gets its helper object, and is not compiled when that
+    object did not build: build() raises the helper's own failure.
+    """
+    if helper is not None:
+        try:
+            _place(helper.result(), out_path.parent / _HELPER_OBJECT)
+        except PcaotError:
+            return None
     try:
         _compile(spec, src_path, out_path, extra)
     except CompileFailure as exc:
+        return exc
+    if not out_path.is_file():
+        return None
+    return (stat.S_IMODE(out_path.stat().st_mode), out_path.read_bytes())
+
+
+def _memo_task(key: str, *args) -> tuple[int, bytes] | CompileFailure | None:
+    # Runs on _POOL.  An outcome that is not kept leaves the memo before its
+    # future completes, so a later build compiles again.
+    try:
+        kept = _compile_kept(*args)
+    except BaseException:
         with _BUILDS_LOCK:
-            _BUILDS[key] = CompileFailure(str(exc), stderr=exc.stderr)
+            _BUILDS.pop(key, None)
         raise
-    if out_path.is_file():
+    if kept is None:
         with _BUILDS_LOCK:
-            _BUILDS[key] = (stat.S_IMODE(out_path.stat().st_mode), out_path.read_bytes())
+            _BUILDS.pop(key, None)
+    return kept
+
+
+def _submit(
+    text: str,
+    src_path: Path,
+    out_path: Path,
+    spec: BuildSpec,
+    extra: tuple[str, ...],
+    helper: Future | None = None,
+) -> Future:
+    """Write text to src_path; the memo's future for out_path, queuing a compile on a miss."""
+    # A compile of this same text may be reading src_path: leave an equal file alone.
+    data = text.encode("utf-8")
+    if not (src_path.is_file() and src_path.read_bytes() == data):
+        src_path.write_bytes(data)
+    fields = [out_path.name, text, spec.compiler_cmd, list(spec.flags)]
+    key = hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
+    with _BUILDS_LOCK:
+        future = _BUILDS.get(key)
+        if future is None:
+            future = _BUILDS[key] = _POOL.submit(
+                _memo_task, key, spec, src_path, out_path, extra, helper
+            )
+    return future
+
+
+def _start(source: GeneratedSource, spec: BuildSpec) -> list[tuple[Future, Path]]:
+    """start_build(); returns each output's future and path, the binary's last."""
+    workdir = Path(spec.workdir).resolve()
+    workdir.mkdir(parents=True, exist_ok=True)
+    started: list[tuple[Future, Path]] = []
+    extra: tuple[str, ...] = ()
+    helper = None
+    if source.kind is SourceKind.REPLAY_DRIVER:
+        helper_path = workdir / _HELPER_OBJECT
+        helper = _submit(HELPER_SOURCE, workdir / "pcaot_helpers.c", helper_path, spec, ("-c",))
+        started.append((helper, helper_path))
+        extra = (str(helper_path),)
+    out_path = workdir / source.kind.value
+    binary = _submit(source.text, workdir / f"{source.kind.value}.c", out_path, spec, extra, helper)
+    started.append((binary, out_path))
+    return started
+
+
+def _wait_idle() -> None:
+    """Block until no compile is queued or running."""
+    while True:
+        with _BUILDS_LOCK:
+            pending = [future for future in _BUILDS.values() if not future.done()]
+        if not pending:
+            return
+        wait(pending)
+
+
+def start_build(source: GeneratedSource, spec: BuildSpec) -> None:
+    """Write the source into the workdir and queue its compile; do not wait.
+
+    Queues what build() would compile, with the same memo: nothing for a
+    source already built or queued in this process.  A later build() of the
+    same source and spec waits for it and writes the binary.
+    """
+    _start(source, spec)
 
 
 def build(source: GeneratedSource, spec: BuildSpec) -> Path:
@@ -201,19 +298,16 @@ def build(source: GeneratedSource, spec: BuildSpec) -> Path:
     this process with the same kind, compiler_cmd and flags is not compiled
     again: the bytes and file mode of its first compile are written to the
     workdir, or its CompileFailure is raised again (see the module
-    docstring).  Returns the binary path; raises CompileFailure or
-    ToolMissing, also when the helper object does not compile.
+    docstring).  Before it writes the binary, build() waits until no compile
+    is queued or running, whichever build() or start_build() queued it.
+    Returns the binary path; raises CompileFailure or ToolMissing, also when
+    the helper object does not compile.
     """
-    workdir = Path(spec.workdir).resolve()
-    workdir.mkdir(parents=True, exist_ok=True)
-    extra: tuple[str, ...] = ()
-    if source.kind is SourceKind.REPLAY_DRIVER:
-        helper = workdir / "pcaot_helpers.o"
-        _compile_once(HELPER_SOURCE, workdir / "pcaot_helpers.c", helper, spec, ("-c",))
-        extra = (str(helper),)
-    out_path = workdir / source.kind.value
-    _compile_once(source.text, workdir / f"{source.kind.value}.c", out_path, spec, extra)
-    return out_path
+    started = _start(source, spec)
+    _wait_idle()
+    for future, out_path in started:
+        _place(future.result(), out_path)
+    return started[-1][1]
 
 
 def run(
@@ -224,7 +318,8 @@ def run(
     """Execute a binary in its own directory under a timeout.
 
     The process is killed on timeout; its partial output is kept.  Timed
-    runs execute one at a time process-wide.  The child gets OMP_PLACEMENT,
+    runs execute one at a time process-wide, and each starts its clock only
+    once no compile is queued or running.  The child gets OMP_PLACEMENT,
     which replaces any inherited OMP_PROC_BIND and OMP_PLACES so that an
     OpenMP team spreads over the usable cores; a key in env still wins.
     """
@@ -235,6 +330,7 @@ def run(
     if env:
         full_env.update({k: str(v) for k, v in env.items()})
     with _TIMED_RUN_LOCK:
+        _wait_idle()
         start = time.monotonic_ns()
         try:
             proc = subprocess.Popen(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcaot import campaign
+from pcaot import campaign, runner
 from pcaot.backends import CompilerDriverConfig, MockLlm, PromptStrategy
 from pcaot.campaign import (
     CampaignConfig,
@@ -541,10 +541,7 @@ def test_output_directory_rebuilds_a_driver(tmp_path):
 
 @needs_gcc
 def test_gcc_runs_once_per_distinct_driver(tmp_path):
-    script = tmp_path / "logging-gcc"
-    log = tmp_path / "gcc.log"
-    script.write_text(f'#!/bin/sh\necho "$1" >> {log}\nexec gcc "$@"\n')
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    spec, log = _logging_gcc(tmp_path)
     job = _write_section(tmp_path)
     # Each strategy repeats itself; copyc hands back the serial code.
     mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": GARBAGE})
@@ -555,7 +552,7 @@ def test_gcc_runs_once_per_distinct_driver(tmp_path):
         attempts=2,
         timing_repeats=1,
         threads=1,
-        build=BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"),
+        build=spec,
     )
     outdir = tmp_path / "out"
     records = execute(plan(config), config, outdir)
@@ -579,6 +576,74 @@ def test_gcc_runs_once_per_distinct_driver(tmp_path):
         assert (version_dir / "driver.c").is_file()
         if "CoT" not in version_dir.name:
             assert os.access(version_dir / "driver", os.X_OK)
+
+
+def _logging_gcc(tmp_path):
+    # gcc that first appends its source argument to a log.
+    script = tmp_path / "logging-gcc"
+    log = tmp_path / "gcc.log"
+    script.write_text(f'#!/bin/sh\necho "$1" >> {log}\nexec gcc "$@"\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"), log
+
+
+@needs_gcc
+def test_every_compile_precedes_the_first_timed_run(tmp_path, monkeypatch):
+    spec, log = _logging_gcc(tmp_path)
+    compiled_before_run = []
+    real_run = campaign.run
+
+    def recording_run(binary, timeout_s=60.0, env=None):
+        compiled_before_run.append(len(log.read_text().splitlines()))
+        return real_run(binary, timeout_s=timeout_s, env=env)
+
+    monkeypatch.setattr(campaign, "run", recording_run)
+    static = GOOD.replace("reduction(+:total)", "reduction(+:total) schedule(static)")
+    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": static, "tiny/CoT": GARBAGE})
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(mock,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+        build=spec,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    statuses = {(r.tool, r.strategy): r.status for r in records}
+    assert statuses == {
+        ("serial", None): ValidationStatus.PASS,
+        ("mock", "IP"): ValidationStatus.PASS,
+        ("mock", "DIP"): ValidationStatus.PASS,
+        ("mock", "CoT"): ValidationStatus.COMPILE_ERROR,
+    }
+    # The capture, the helper object and four drivers, all before the capture run.
+    assert len(log.read_text().splitlines()) == 6
+    assert compiled_before_run == [6] * 4
+
+
+@needs_gcc
+def test_resume_with_an_empty_build_memo_compiles_nothing(tmp_path, monkeypatch):
+    spec, log = _logging_gcc(tmp_path)
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny/IP": GOOD, "tiny/CoT": GARBAGE}),),
+        strategies=(PromptStrategy.IP, PromptStrategy.COT),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+        build=spec,
+    )
+    outdir = tmp_path / "out"
+    first = execute(plan(config), config, outdir)
+    assert log.read_text()
+    log.unlink()
+    # A fresh process starts with an empty memo; nothing may be queued into it.
+    memo = {}
+    monkeypatch.setattr(runner, "_BUILDS", memo)
+    second = execute(plan(config), config, outdir)
+    assert memo == {}
+    assert not log.exists()
+    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
 
 @needs_gcc

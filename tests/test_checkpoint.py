@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcaot import checkpoint
 from pcaot.checkpoint import (
     EMPTY_CHECKPOINT_SIZE,
     BadMagic,
     Checkpoint,
+    ComparisonReport,
     ComparisonStatus,
     Tolerance,
     TruncatedPayload,
@@ -197,6 +199,45 @@ def test_compare_nan_equals_nan():
     ref = _ckpt(a=("f64", np.array([np.nan] * 4)))
     cand = _ckpt(a=("f64", np.array([np.nan] * 4)))
     assert compare(ref, cand, M1).status is ComparisonStatus.PASS
+
+
+def test_compare_identical_payloads_skip_float_math(monkeypatch):
+    # Equal bytes pass with zero error, NaN and inf elements included, and
+    # never reach the float-error computation.
+    def no_float_math(*args):
+        raise AssertionError("identical payloads were compared element by element")
+
+    monkeypatch.setattr(checkpoint, "_float_errors", no_float_math)
+    values = np.array([np.nan, np.inf, -0.0, 1.5])
+    report = compare(_ckpt(a=("f64", values)), _ckpt(a=("f64", values.copy())), M1)
+    assert report == ComparisonReport(status=ComparisonStatus.PASS)
+    assert report.worst_abs_err == 0.0 and report.worst_rel_err == 0.0
+
+
+def test_compare_negative_zero_takes_the_full_path():
+    ref = _ckpt(a=("f64", np.array([0.0, 1.0, np.nan, -2.0])))
+    cand = _ckpt(a=("f64", np.array([-0.0, 1.0, np.nan, -2.0])))
+    assert ref.records[0].payload != cand.records[0].payload
+    report = compare(ref, cand, M1, Tolerance(abs=0.0, rel=0.0))
+    assert report == ComparisonReport(status=ComparisonStatus.PASS)
+
+
+def test_compare_skipped_variable_keeps_the_offender():
+    # cand_same repeats a's bytes, so a is skipped; cand_full writes a with
+    # -0.0 for 0.0, the same values in other bytes, so a takes the full path.
+    manifest = _manifest(
+        VariableSpec("a", "f64", (4,), "out"), VariableSpec("b", "f64", (3,), "out")
+    )
+    a = np.array([0.0, 2.0, np.nan, -3.0])
+    b_ref, b_cand = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.5, 3.0])
+    ref = _ckpt(a=("f64", a), b=("f64", b_ref))
+    cand_same = _ckpt(a=("f64", a.copy()), b=("f64", b_cand))
+    cand_full = _ckpt(a=("f64", np.array([-0.0, 2.0, np.nan, -3.0])), b=("f64", b_cand))
+    same = compare(ref, cand_same, manifest)
+    assert same == compare(ref, cand_full, manifest)
+    assert same.status is ComparisonStatus.NUMERIC_MISMATCH
+    assert same.offending == ("b", 1)
+    assert same.worst_abs_err == 0.5 and same.worst_rel_err == 0.25
 
 
 def test_compare_one_sided_nan_fails():

@@ -1,7 +1,9 @@
 import os
 import shutil
 import stat
+import sys
 import tempfile
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcaot import runner
 from pcaot.instrument import HELPER_SOURCE, GeneratedSource, SourceKind
 from pcaot.runner import (
     BuildSpec,
@@ -74,6 +77,12 @@ def test_flags_are_appended(workdir, tmp_path):
     assert argv[0].endswith("driver.c")
 
 
+def _executable(path, text):
+    path.write_text(text)
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    return path
+
+
 def _argv_logging_compiler(tmp_path, fail_on=None):
     # Appends each argv to a log; exits 1 with a message when an argument
     # names fail_on.  The script path is per test, so the process-wide
@@ -85,26 +94,26 @@ def _argv_logging_compiler(tmp_path, fail_on=None):
         if fail_on
         else ""
     )
-    script.write_text(f'#!/bin/sh\necho "$@" >> {log}\n{fail}exit 0\n')
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    _executable(script, f'#!/bin/sh\necho "$@" >> {log}\n{fail}exit 0\n')
     return f"{script} {{src}} -o {{out}}", log
 
 
-def _writing_compiler(tmp_path):
-    # Appends each argv to a log.  A source containing FAIL fails with a
-    # message naming its path; any other source is written to {out}, followed
-    # by the output path, with mode 751.  The path in the bytes and in the
-    # message tells a kept result from a fresh compile.
+def _writing_compiler(tmp_path, delay_s=0):
+    # Appends each argv to a log, then sleeps delay_s.  A source containing
+    # FAIL fails with a message naming its path; any other source is written
+    # to {out}, followed by the output path, with mode 751.  The path in the
+    # bytes and in the message tells a kept result from a fresh compile.
     script = tmp_path / "writecc"
     log = tmp_path / "argv.log"
-    script.write_text(
+    _executable(
+        script,
         "#!/bin/sh\n"
         f'echo "$@" >> {log}\n'
-        'if grep -q FAIL "$1"; then echo "writecc: cannot compile $1" >&2; exit 1; fi\n'
+        + (f"sleep {delay_s}\n" if delay_s else "")
+        + 'if grep -q FAIL "$1"; then echo "writecc: cannot compile $1" >&2; exit 1; fi\n'
         '{ cat "$1"; echo "$3"; } > "$3"\n'
-        'chmod 751 "$3"\n'
+        'chmod 751 "$3"\n',
     )
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
     return f"{script} {{src}} -o {{out}}", log
 
 
@@ -270,6 +279,94 @@ def test_compile_without_output_is_not_kept(tmp_path):
     for i in range(2):
         build(_source("x"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}"))
     assert len(_source_compiles(log)) == 2
+
+
+def test_started_builds_share_one_compile(tmp_path):
+    # The second start finds the first compile still running and waits for it.
+    compiler_cmd, log = _writing_compiler(tmp_path, delay_s=0.3)
+    spec = BuildSpec(compiler_cmd=compiler_cmd)
+    for name in ("d0", "d1"):
+        runner.start_build(_source("a"), replace(spec, workdir=tmp_path / name))
+    first = build(_source("a"), replace(spec, workdir=tmp_path / "d0"))
+    second = build(_source("a"), replace(spec, workdir=tmp_path / "d1"))
+    assert len(_source_compiles(log)) == 1
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_concurrent_builds_compile_each_source_once(tmp_path):
+    # More calling threads than cores, switching as often as possible: a lost
+    # memo update would show as a second compile of one source.
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    spec = BuildSpec(compiler_cmd=compiler_cmd)
+    texts = [f"src{i}" for i in range(4)]
+    binaries = {}
+
+    def worker(t):
+        for i, text in enumerate(texts):
+            workdir = tmp_path / f"t{t}" / f"s{i}"
+            binaries[(t, text)] = build(_source(text), replace(spec, workdir=workdir))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        count = 2 * usable_cores() + 2
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(binaries) == len(threads) * len(texts)
+    compiled_in = sorted(Path(argv[0]).parent.name for argv in _source_compiles(log))
+    assert compiled_in == ["s0", "s1", "s2", "s3"]
+    assert len(_helper_compiles(log)) == 1
+    for (_, text), binary in binaries.items():
+        assert binary.read_bytes().startswith(text.encode())
+
+
+RENDEZVOUS_CC = """#!/bin/sh
+# A compiler that copies SRC to OUT.  A driver compile first announces
+# itself in MARKS and waits up to 5 s for a second one to arrive.
+case "$1" in *pcaot_helpers.c) cp "$1" "$3"; exit 0;; esac
+touch "{marks}/$(basename "$(dirname "$1")")"
+i=0
+while [ "$(ls "{marks}" | wc -l)" -lt 2 ]; do
+    i=$((i + 1))
+    [ "$i" -gt 50 ] && {{ echo "alone" >&2; exit 1; }}
+    sleep 0.1
+done
+cp "$1" "$3"
+"""
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs at least 2 usable cores")
+def test_distinct_driver_compiles_overlap(tmp_path):
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    script = _executable(tmp_path / "rendezvous-cc", RENDEZVOUS_CC.format(marks=marks))
+    spec = BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}")
+    sources = [(_source("a"), replace(spec, workdir=tmp_path / "a")),
+               (_source("b"), replace(spec, workdir=tmp_path / "b"))]
+    for source, workdir_spec in sources:
+        runner.start_build(source, workdir_spec)
+    for source, workdir_spec in sources:
+        assert build(source, workdir_spec).read_text() == source.text
+    assert sorted(p.name for p in marks.iterdir()) == ["a", "b"]
+
+
+def test_a_timed_run_waits_for_a_started_compile(tmp_path):
+    ends, starts = tmp_path / "compile_end", tmp_path / "run_start"
+    script = _executable(
+        tmp_path / "sleepcc",
+        f'#!/bin/sh\nsleep 0.5\ncp "$1" "$3"\ndate +%s%N > {ends}\n',
+    )
+    spec = BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}", workdir=tmp_path / "d")
+    runner.start_build(_source("x", kind=SourceKind.CAPTURE_PROGRAM), spec)
+    probe = _executable(tmp_path / "probe", f"#!/bin/sh\ndate +%s%N > {starts}\n")
+    assert run(probe).exit_code == 0
+    assert int(starts.read_text()) > int(ends.read_text())
 
 
 @needs_gcc
