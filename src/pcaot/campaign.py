@@ -6,8 +6,10 @@ backends, plus the serial original), validates every candidate against the
 captured reference state, and aggregates the outcome records into metrics
 and charts.  Candidates of every backend, LLM or compiler, are produced
 through one thread pool of config.max_inflight workers and persisted in
-plan order.  Every source that validation then builds is queued at once on
-runner's compile pool, before the first capture runs.
+plan order.  Validation then decides each version once: a queue step per
+section generates each version's driver and queues its compile on runner's
+pool, for every section before the first capture runs, and one version loop
+builds, runs and records each version with that driver.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -52,6 +54,7 @@ from .checkpoint import ComparisonStatus, Tolerance
 from .errors import ParseError, PcaotError
 from .instrument import (
     HELPER_SOURCE,
+    GeneratedSource,
     generate_capture_program,
     generate_replay_driver,
     input_checkpoint_name,
@@ -60,11 +63,12 @@ from .instrument import (
 from .pattern import (
     OutcomeCategory,
     ValidationStatus,
+    _strip_comments_and_strings,
     categorize,
     detect,
     has_any_directive,
 )
-from .runner import BuildSpec, SpawnFailure, build, collect_timing, run, start_build
+from .runner import DEFAULT_THREADS, BuildSpec, SpawnFailure, build, collect_timing, run, start_build
 from .sections import ExperimentalSection, StateManifest, extract_sections, load_manifest_file
 
 log = logging.getLogger("pcaot")
@@ -100,6 +104,10 @@ class IoFailure(PcaotError):
     """The output directory could not be written."""
 
 
+class ReservedName(PcaotError):
+    """Candidate code uses a name reserved for the replay driver, or ##; it is not built."""
+
+
 @dataclass(frozen=True)
 class SectionJob:
     """One (source file, manifest) pair, plus optional extras."""
@@ -120,7 +128,7 @@ class CampaignConfig:
     timing_repeats: int = 3
     tolerance: Tolerance = Tolerance()
     build: BuildSpec = BuildSpec()
-    threads: int = 4
+    threads: int = DEFAULT_THREADS
     size_buckets: tuple[int, ...] = (10, 20, 40, 80)
     timeout_s: float | None = None
     max_inflight: int = 4
@@ -308,10 +316,8 @@ def _is_captured(capture_dir: Path, manifest: StateManifest) -> bool:
 class _SectionContext:
     """Everything validation needs about one captured section."""
 
-    job: SectionJob
     section: ExperimentalSection
     manifest: StateManifest
-    capture_dir: Path
     in_ckpt: Path | None
     out_ckpt: Path
     reference: ckpt.Checkpoint
@@ -329,8 +335,9 @@ def _load_section(job: SectionJob) -> tuple[ExperimentalSection, StateManifest, 
         raise CaptureFailure(f"cannot parse section inputs: {exc}") from exc
     matching = [s for s in found if s.id == manifest.section_id]
     if not matching:
+        ids = ", ".join(repr(s.id) for s in found) or "none"
         raise CaptureFailure(
-            f"section {manifest.section_id!r} not found in {job.source_path}"
+            f"manifest names section {manifest.section_id!r}; {job.source_path} has: {ids}"
         )
     return matching[0], manifest, source_text
 
@@ -380,10 +387,8 @@ def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _S
     except PcaotError as exc:
         raise CaptureFailure(f"reference checkpoint for {sid!r} unreadable: {exc}") from exc
     return _SectionContext(
-        job=job,
         section=section,
         manifest=manifest,
-        capture_dir=capture_dir,
         in_ckpt=in_path if needs_input else None,
         out_ckpt=out_path,
         reference=reference,
@@ -489,21 +494,21 @@ def _candidate_timeout(config: CampaignConfig, baseline_wall_ns: int) -> float:
 
 
 def _validate_code(
-    code: str,
+    driver: GeneratedSource | PcaotError,
     ctx: _SectionContext,
     config: CampaignConfig,
     scratch: Path,
     timeout_s: float,
 ) -> tuple[ValidationStatus, int | None, int | None]:
-    """Build, run, time and compare one candidate body.
+    """Build, run, time and compare one version's replay driver.
 
-    Returns (status, median_ns, run_wall_ns); run_wall_ns is None when the
-    driver did not run."""
+    A driver that is a PcaotError (it did not generate, or the code was
+    rejected) is a CompileError, as is a failed build.  Returns (status,
+    median_ns, run_wall_ns); run_wall_ns is None when the driver did not run."""
     try:
-        generated = generate_replay_driver(
-            code, ctx.manifest, config.timing_repeats, ctx.job.support_code
-        )
-        binary = build(generated, replace(config.build, workdir=scratch))
+        if isinstance(driver, PcaotError):
+            raise driver
+        binary = build(driver, replace(config.build, workdir=scratch))
     except PcaotError as exc:
         detail = getattr(exc, "stderr", "") or str(exc)
         log.debug("candidate build failed in %s: %s", scratch.name, detail[:400])
@@ -563,138 +568,122 @@ def _make_record(
     )
 
 
-def _start_builds(
+# An identifier of the replay driver's own state, or token pasting that could spell one.
+_RESERVED_RE = re.compile(r"\b(?:pcaot|PCAOT)_\w*|##")
+
+
+def _check_candidate_names(code: str) -> None:
+    """Raise ReservedName when code uses a reserved name outside comments and strings."""
+    match = _RESERVED_RE.search(_strip_comments_and_strings(code))
+    if match is not None:
+        raise ReservedName(f"candidate code uses reserved {match.group()!r}")
+
+
+def _queue_section(
+    job: SectionJob,
     config: CampaignConfig,
     outdir: Path,
     experiment: ExperimentPlan,
-    existing: dict[tuple, OutcomeRecord],
     rows: dict[tuple, CandidateRow],
-) -> None:
-    """Queue the compile of everything validate_candidates' section loop builds.
+    existing: dict[tuple, OutcomeRecord],
+) -> list[tuple[Origin, str | None, GeneratedSource | PcaotError | None]]:
+    """Load a section, queue its compiles, and return its versions, serial first.
 
-    That is each capture not yet captured, each serial driver without a
-    record, and each candidate driver with code and without a record.  A
-    section that does not load, or a source that does not generate, is left
-    to the loop, which reports it.
+    Each version is (origin, code, driver).  driver is the replay driver
+    queued with runner.start_build, the PcaotError that stopped its
+    generation, or None when the version has a record or has no code.
+    Candidate code that names a reserved identifier outside comments and
+    strings is rejected, not generated.  The capture is queued unless already
+    captured.  Raises CaptureFailure when the section does not load.
     """
-    for job in experiment.jobs:
-        try:
-            section, manifest, source_text = _load_section(job)
-        except CaptureFailure:
-            continue
-        sid = manifest.section_id
-        capture_dir = _capture_dir(outdir, sid)
-        if not _is_captured(capture_dir, manifest):
-            _start_one(
-                config, capture_dir, generate_capture_program, source_text, section, manifest
-            )
-        versions = [(Origin(tool_id=SERIAL_TOOL_ID), section.body_text)]
-        for origin in experiment.candidate_origins:
-            row = rows.get(_key(sid, origin))
-            versions.append((origin, row.code if row is not None else None))
-        for origin, code in versions:
-            if code is not None and _key(sid, origin) not in existing:
-                _start_one(
-                    config, _version_dir(outdir, sid, origin), generate_replay_driver,
-                    code, manifest, config.timing_repeats, job.support_code,
+    section, manifest, source_text = _load_section(job)
+    sid = manifest.section_id
+    capture_dir = _capture_dir(outdir, sid)
+    if not _is_captured(capture_dir, manifest):
+        capture = generate_capture_program(source_text, section, manifest)
+        start_build(capture, replace(config.build, workdir=capture_dir))
+    versions = []
+    for origin in (Origin(tool_id=SERIAL_TOOL_ID), *experiment.candidate_origins):
+        row = rows.get(_key(sid, origin))
+        is_serial = origin.tool_id == SERIAL_TOOL_ID
+        code = section.body_text if is_serial else (row.code if row is not None else None)
+        driver = None
+        if code is not None and _key(sid, origin) not in existing:
+            try:
+                if not is_serial:
+                    _check_candidate_names(code)
+                driver = generate_replay_driver(
+                    code, manifest, config.timing_repeats, job.support_code
                 )
+                start_build(driver, replace(config.build, workdir=_version_dir(outdir, sid, origin)))
+            except PcaotError as exc:
+                driver = exc
+        versions.append((origin, code, driver))
+    return versions
 
 
-def _start_one(config: CampaignConfig, workdir: Path, generate, *args) -> None:
-    try:
-        generated = generate(*args)
-    except PcaotError:
-        return
-    start_build(generated, replace(config.build, workdir=workdir))
+def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
+    """Capture, produce and validate everything a plan describes.
 
-
-def validate_candidates(
-    config: CampaignConfig, outdir: Path, experiment: ExperimentPlan | None = None
-) -> list[OutcomeRecord]:
-    """Capture, produce and validate everything the plan describes.
-
-    The plan defaults to plan(config).  Once the candidates exist, every
-    source the campaign will build is queued at once (runner.start_build),
-    so the first build() call waits for all of them and later ones are memo
-    hits.  Returns records in deterministic order: sections in plan order,
-    the serial baseline first, then candidates by (tool, strategy, attempt).
-    Existing records.jsonl rows are reused, new ones appended.
+    Once the candidates exist, every section is queued (_queue_section), so
+    the first build() call waits for every compile and later ones are memo
+    hits.  Sections whose reference capture fails are skipped (and logged);
+    all other failures become per-version statuses.  Returns records in
+    deterministic order: sections in plan order, the serial baseline first,
+    then candidates by (tool, strategy, attempt).  Existing records.jsonl
+    rows are reused, new ones appended.
     """
+    if not experiment.jobs:
+        raise EmptyCampaign("experiment plan lists no sections")
     outdir = _ensure_dir(outdir)
-    experiment = experiment or plan(config)
     _write_text(outdir / "pcaot_helpers.c", HELPER_SOURCE)
     records_path = outdir / "records.jsonl"
     existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
     rows = produce_candidates(config, outdir, experiment)
-    _start_builds(config, outdir, experiment, existing, rows)
+    queued = []
+    for job in experiment.jobs:
+        try:
+            queued.append((job, _queue_section(job, config, outdir, experiment, rows, existing)))
+        except CaptureFailure as exc:
+            log.warning("section skipped: %s", exc)
     records: list[OutcomeRecord] = []
 
-    for job in experiment.jobs:
+    for job, versions in queued:
         try:
             ctx = capture_section(job, config, outdir)
         except CaptureFailure as exc:
             log.warning("section skipped: %s", exc)
             continue
         sid = ctx.manifest.section_id
-
-        serial = Origin(tool_id=SERIAL_TOOL_ID)
-        serial_key = _key(sid, serial)
-        if serial_key in existing:
-            serial_record = existing[serial_key]
-        else:
-            serial_dir = _version_dir(outdir, sid, serial)
-            serial_timeout = _candidate_timeout(config, ctx.capture_wall_ns)
-            status, median, wall = _validate_code(
-                ctx.section.body_text, ctx, config, serial_dir, serial_timeout
-            )
-            serial_record = _make_record(
-                ctx, serial, ctx.section.body_text, status, median,
-                serial_median_ns=median, run_wall_ns=wall,
-            )
-            _append_jsonl(records_path, serial_record.to_dict())
-        records.append(serial_record)
-        if serial_record.status is not ValidationStatus.PASS:
-            log.warning(
-                "serial baseline for %r did not validate (%s); speedups unavailable",
-                sid,
-                serial_record.status.value,
-            )
-        serial_median = serial_record.median_time_ns
-        baseline_wall = serial_record.run_wall_ns
-        if baseline_wall is None:
-            # Rows written before run_wall_ns existed: a guess that leaves out the input reload.
-            baseline_wall = (serial_median or 0) * config.timing_repeats
-        timeout_s = _candidate_timeout(config, baseline_wall)
-
-        for origin in experiment.candidate_origins:
-            key = _key(sid, origin)
-            if key in existing:
-                records.append(existing[key])
-                continue
-            row = rows.get(key)
-            if row is None or row.code is None:
-                record = _make_record(
-                    ctx, origin, None, ValidationStatus.EXTRACTION_ERROR, None, serial_median
-                )
-            else:
-                scratch = _version_dir(outdir, sid, origin)
-                status, median, wall = _validate_code(row.code, ctx, config, scratch, timeout_s)
-                record = _make_record(ctx, origin, row.code, status, median, serial_median, wall)
-            _append_jsonl(records_path, record.to_dict())
+        serial_median = None
+        timeout_s = _candidate_timeout(config, ctx.capture_wall_ns)
+        for origin, code, driver in versions:
+            is_serial = origin.tool_id == SERIAL_TOOL_ID
+            record = existing.get(_key(sid, origin))
+            if record is None:
+                status, median, wall = ValidationStatus.EXTRACTION_ERROR, None, None
+                if code is not None:
+                    scratch = _version_dir(outdir, sid, origin)
+                    status, median, wall = _validate_code(driver, ctx, config, scratch, timeout_s)
+                baseline = median if is_serial else serial_median
+                record = _make_record(ctx, origin, code, status, median, baseline, wall)
+                _append_jsonl(records_path, record.to_dict())
             records.append(record)
+            if not is_serial:
+                continue
+            if record.status is not ValidationStatus.PASS:
+                log.warning(
+                    "serial baseline for %r did not validate (%s); speedups unavailable",
+                    sid,
+                    record.status.value,
+                )
+            serial_median = record.median_time_ns
+            baseline_wall = record.run_wall_ns
+            if baseline_wall is None:
+                # Rows written before run_wall_ns existed: a guess that leaves out the input reload.
+                baseline_wall = (serial_median or 0) * config.timing_repeats
+            timeout_s = _candidate_timeout(config, baseline_wall)
     return records
-
-
-def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
-    """Run the full campaign described by a plan.
-
-    Sections whose reference capture fails are skipped (and logged); all
-    other failures become per-candidate statuses.  Never raises for
-    candidate-level problems.
-    """
-    if not experiment.jobs:
-        raise EmptyCampaign("experiment plan lists no sections")
-    return validate_candidates(config, outdir, experiment)
 
 
 @dataclass(frozen=True)

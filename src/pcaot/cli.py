@@ -29,8 +29,10 @@ from .campaign import (
     CampaignConfig,
     CaptureFailure,
     OutcomeRecord,
+    SectionJob,
     _job_section_id,
     _load_jsonl,
+    _load_section,
     aggregate,
     capture_section,
     emit_reports,
@@ -38,12 +40,10 @@ from .campaign import (
     load_campaign_config,
     plan,
     produce_candidates,
-    validate_candidates,
 )
 from .checkpoint import Tolerance
 from .errors import PcaotError, UsageError
 from .pattern import ValidationStatus
-from .sections import extract_sections, load_manifest_file
 
 log = logging.getLogger("pcaot")
 
@@ -107,16 +107,7 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
-    manifest = load_manifest_file(args.manifest)
-    source = args.src.read_text(encoding="utf-8")
-    found = extract_sections(source, str(args.src))
-    matching = [s for s in found if s.id == manifest.section_id]
-    if not matching:
-        ids = ", ".join(repr(s.id) for s in found) or "none"
-        raise PcaotError(
-            f"manifest names section {manifest.section_id!r}; source has: {ids}"
-        )
-    section = matching[0]
+    section, manifest, _ = _load_section(SectionJob(args.src, args.manifest))
     doc = {
         "section_id": section.id,
         "start_line": section.start_line,
@@ -202,7 +193,7 @@ def _print_summary(summary: dict, as_json: bool) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    records = validate_candidates(config, args.out)
+    records = execute(plan(config), config, args.out)
     summary = _summarize(records, config)
     _print_summary(summary, args.json)
     return 1 if summary["failures"] or summary["skipped_sections"] else 0

@@ -60,14 +60,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, PcaotError
-from .instrument import HELPER_SOURCE, GeneratedSource, SourceKind
+from .instrument import HELPER_SOURCE, TIMING_LINE_PREFIX, GeneratedSource, SourceKind
 
 DEFAULT_FLAGS = ("-O3", "-fopenmp")
 DEFAULT_THREADS = 4
 # OpenMP thread placement of every run (see the module docstring).
 OMP_PLACEMENT = {"OMP_PROC_BIND": "spread", "OMP_PLACES": "cores"}
 
-_TIMING_RE = re.compile(r"^PCAOT_TIME_NS\s+(\d+)\s*$", re.MULTILINE)
+_TIMING_RE = re.compile(rf"^{re.escape(TIMING_LINE_PREFIX)}\s+(\d+)\s*$", re.MULTILINE)
 _TIMED_RUN_LOCK = threading.Lock()
 _HELPER_OBJECT = "pcaot_helpers.o"
 # build key -> Future of the first compile's (file mode, output bytes), or of its CompileFailure

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 import stat
@@ -24,7 +25,6 @@ from pcaot.campaign import (
     load_campaign_config,
     plan,
     produce_candidates,
-    validate_candidates,
 )
 from pcaot.cli import main
 from pcaot.errors import ParseError
@@ -478,6 +478,94 @@ def test_forged_timing_lines_are_not_a_pass(tmp_path):
     forged = by_key[("mock", "IP")]
     assert forged.status is not ValidationStatus.PASS
     assert forged.speedup is None
+
+
+def _summing(extra):
+    # The right sum, then extra lines inside the timed body.
+    return (
+        "```c\n    total = 0.0;\n    for (i = 0; i < 512; i++) {\n        total += v[i];\n    }\n"
+        + extra
+        + "```"
+    )
+
+
+# Each overwrites the driver's timing state, by name or by token pasting.
+FORGED_NS = _summing("    { int k; for (k = 0; k < 3; k++) pcaot_ns[k] = 1; }\n")
+FORGED_REP = _summing("    pcaot_rep = 2;\n")
+FORGED_PASTE = _summing(
+    "#define JOIN(a, b) a ## b\n    { int k; for (k = 0; k < 3; k++) JOIN(pcao, t_ns)[k] = 1; }\n"
+)
+# Mentions the reserved names only in a comment and a string.
+MENTIONS = _summing("    /* pcaot_ns, PCAOT_TIME_NS */ (void)\"pcaot_rep ##\";\n")
+
+
+@needs_gcc
+def test_reserved_names_in_candidate_code_are_not_a_pass(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="pcaot")
+    mock = CountingMock("mock", {
+        "tiny/IP/1": FORGED_NS,
+        "tiny/IP/2": FORGED_REP,
+        "tiny/IP/3": FORGED_PASTE,
+        "tiny/IP/4": MENTIONS,
+    })
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(mock,),
+        strategies=(PromptStrategy.IP,),
+        attempts=4,
+        timing_repeats=3,
+        threads=1,
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    by_attempt = {r.attempt: r for r in records}
+    assert by_attempt[None].status is ValidationStatus.PASS
+    for attempt in (1, 2, 3):
+        forged = by_attempt[attempt]
+        assert forged.status is ValidationStatus.COMPILE_ERROR
+        assert forged.speedup is None
+        # Rejected before generation: nothing was written or built for it.
+        assert not (outdir / "sections" / "tiny" / "candidates" / f"mock__IP__{attempt}").exists()
+    assert by_attempt[4].status is ValidationStatus.PASS
+    assert by_attempt[4].speedup is not None
+    for name in ("'pcaot_ns'", "'pcaot_rep'", "'##'"):
+        assert f"reserved {name}" in caplog.text
+
+
+@needs_gcc
+def test_each_version_generates_its_driver_once(tmp_path, monkeypatch):
+    calls = []
+    real_generate = campaign.generate_replay_driver
+
+    def counting_generate(*args, **kwargs):
+        calls.append(args)
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "generate_replay_driver", counting_generate)
+    mock = CountingMock("mock", {
+        "tiny/IP": GOOD,
+        "tiny/DIP": GARBAGE,
+        "tiny/CoT/1": FORGED_NS,
+        "tiny/CoT/2": "",
+    })
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(mock,),
+        compiler_backends=(CompilerDriverConfig(tool_id="copyc", command="cp {src} {out}"),),
+        attempts=2,
+        timing_repeats=1,
+        threads=1,
+    )
+    outdir = tmp_path / "out"
+    first = execute(plan(config), config, outdir)
+    statuses = [r.status for r in first]
+    assert statuses.count(ValidationStatus.EXTRACTION_ERROR) == 1
+    # serial, copyc, IP x2 and DIP x2; not the rejected or the empty CoT responses.
+    assert len(calls) == 6
+    calls.clear()
+    second = execute(plan(config), config, outdir)
+    assert calls == []
+    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
 
 @needs_gcc

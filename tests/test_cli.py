@@ -87,6 +87,22 @@ def test_prepare_mismatched_manifest_fails(capsys):
          "--manifest", str(SAMPLES / "chain_dp.manifest.json")]
     )
     assert code == 1
+    err = capsys.readouterr().err
+    assert "'chain_dp'" in err and "has: 'vecscale'" in err
+
+
+@pytest.mark.parametrize("missing", ["--src", "--manifest"])
+def test_prepare_missing_file_is_one_error_line(tmp_path, capsys, missing):
+    paths = {"--src": str(SAMPLES / "vecscale.c"),
+             "--manifest": str(SAMPLES / "vecscale.manifest.json"),
+             missing: str(tmp_path / "absent")}
+    code = main(["prepare", *(item for pair in paths.items() for item in pair)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pcaot: error:")
+    assert "absent" in lines[0]
 
 
 def test_section_filter_unknown_id_exits_two(tmp_path):
