@@ -340,7 +340,8 @@ def request_compiler(
     """Run a compiler backend over the wrapped section and re-extract it.
 
     Raises ToolMissing, ToolFailure (nonzero exit) or OutputMissing (no
-    output file, or output without an intact section fence).
+    output file, or output without an intact section fence).  Output that
+    is not UTF-8 is decoded with replacement characters.
     """
     created: tempfile.TemporaryDirectory | None = None
     if workdir is None:
@@ -356,7 +357,12 @@ def request_compiler(
         command = shlex.split(driver.command.format(**fills))
         try:
             proc = subprocess.run(
-                command, cwd=workdir, capture_output=True, text=True, check=False
+                command,
+                cwd=workdir,
+                capture_output=True,
+                text=True,
+                errors="replace",
+                check=False,
             )
         except FileNotFoundError as exc:
             raise ToolMissing(f"compiler backend not found: {command[0]!r}") from exc
@@ -367,7 +373,7 @@ def request_compiler(
         produced = Path(driver.output_path.format(**fills))
         if not produced.is_file():
             raise OutputMissing(f"{driver.tool_id} produced no output at {produced}")
-        text = produced.read_text(encoding="utf-8")
+        text = produced.read_text(encoding="utf-8", errors="replace")
         try:
             found = extract_sections(text, str(produced))
         except PcaotError as exc:

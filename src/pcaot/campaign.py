@@ -7,9 +7,13 @@ captured reference state, and aggregates the outcome records into metrics
 and charts.  Candidates of every backend, LLM or compiler, are produced
 through one thread pool of config.max_inflight workers and persisted in
 plan order.  Validation then decides each version once: a queue step per
-section generates each version's driver and queues its compile on runner's
-pool, for every section before the first capture runs, and one version loop
-builds, runs and records each version with that driver.
+section generates one replay driver for the section, holding the distinct
+code of every version that needs a record, serial included, and queues its
+compile on runner's pool in each of those versions' directories, for every
+section before the first capture runs.  Code that cannot share a driver,
+and code that gcc names in a failed section driver's errors, gets a driver
+of its own (_SectionDrivers).  One version loop then builds, runs and
+records each version with its driver, selecting its code through argv.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -17,6 +21,9 @@ subcommands and by run):
     sections/<id>/capture/      instrumented program + reference checkpoints
     sections/<id>/serial/       serial baseline driver scratch
     sections/<id>/candidates/<tool>__<strategy>__<attempt>/
+                                each version's driver.c (often its section's),
+                                driver, and driver.args, the argv that runs
+                                the version's code: ./driver $(cat driver.args)
     pcaot_helpers.c             checkpoint helpers every driver.c links with;
                                 compile the two together to rebuild a driver
     candidates.jsonl            produced candidate code + raw responses
@@ -33,6 +40,7 @@ import logging
 import math
 import re
 import shutil
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -55,6 +63,8 @@ from .errors import ParseError, PcaotError
 from .instrument import (
     HELPER_SOURCE,
     GeneratedSource,
+    bodies_named_in,
+    can_share_driver,
     generate_capture_program,
     generate_replay_driver,
     input_checkpoint_name,
@@ -68,7 +78,17 @@ from .pattern import (
     detect,
     has_any_directive,
 )
-from .runner import DEFAULT_THREADS, BuildSpec, SpawnFailure, build, collect_timing, run, start_build
+from .runner import (
+    DEFAULT_THREADS,
+    BuildSpec,
+    CompileFailure,
+    SpawnFailure,
+    build,
+    collect_timing,
+    run,
+    start_build,
+    wait_idle,
+)
 from .sections import ExperimentalSection, StateManifest, extract_sections, load_manifest_file
 
 log = logging.getLogger("pcaot")
@@ -495,6 +515,8 @@ def _candidate_timeout(config: CampaignConfig, baseline_wall_ns: int) -> float:
 
 def _validate_code(
     driver: GeneratedSource | PcaotError,
+    argv: tuple[str, ...],
+    code: str,
     ctx: _SectionContext,
     config: CampaignConfig,
     scratch: Path,
@@ -502,9 +524,13 @@ def _validate_code(
 ) -> tuple[ValidationStatus, int | None, int | None]:
     """Build, run, time and compare one version's replay driver.
 
-    A driver that is a PcaotError (it did not generate, or the code was
-    rejected) is a CompileError, as is a failed build.  Returns (status,
-    median_ns, run_wall_ns); run_wall_ns is None when the driver did not run."""
+    The driver runs with argv, which selects the version's body, written to
+    driver.args next to it.  A driver that is a PcaotError (it did not
+    generate, or the code was rejected) is a CompileError, as is a failed
+    build.  Code with no OpenMP directive runs with OMP_PROC_BIND=false: a
+    driver that links libgomp would otherwise pin its one thread to one CPU.
+    Returns (status, median_ns, run_wall_ns); run_wall_ns is None when the
+    driver did not run."""
     try:
         if isinstance(driver, PcaotError):
             raise driver
@@ -513,10 +539,14 @@ def _validate_code(
         detail = getattr(exc, "stderr", "") or str(exc)
         log.debug("candidate build failed in %s: %s", scratch.name, detail[:400])
         return (ValidationStatus.COMPILE_ERROR, None, None)
+    (scratch / "driver.args").write_text(" ".join(argv) + "\n", encoding="utf-8")
     if ctx.in_ckpt is not None:
         shutil.copyfile(ctx.in_ckpt, scratch / ctx.in_ckpt.name)
+    env = {"OMP_NUM_THREADS": str(config.threads)}
+    if not (has_any_directive(code) or "_Pragma" in code):
+        env["OMP_PROC_BIND"] = "false"
     try:
-        result = run(binary, timeout_s=timeout_s, env={"OMP_NUM_THREADS": str(config.threads)})
+        result = run(binary, timeout_s=timeout_s, env=env, args=argv)
     except SpawnFailure as exc:
         log.debug("candidate driver did not start in %s: %s", scratch.name, exc)
         return (ValidationStatus.RUNTIME_ERROR, None, None)
@@ -579,6 +609,78 @@ def _check_candidate_names(code: str) -> None:
         raise ReservedName(f"candidate code uses reserved {match.group()!r}")
 
 
+class _SectionDrivers:
+    """The replay drivers of one section's versions, and which body each runs.
+
+    Every body that can_share_driver accepts goes in one section driver,
+    when there are at least two; each other body gets a one-body driver.
+    When a section driver does not compile, the bodies that gcc's error:
+    lines name get one-body drivers and the rest a new section driver; when
+    no line names a body, or the new section driver fails too, each of its
+    bodies gets a one-body driver.  These replacements are queued from the
+    failed compile's pool task (runner.start_build's on_failure), so every
+    compile is queued or done before a build or a timed run stops waiting.
+    Each driver is queued in the directory of every version that runs one
+    of its bodies.
+    """
+
+    def __init__(self, manifest: StateManifest, config: CampaignConfig, support_code: str) -> None:
+        self._manifest = manifest
+        self._config = config
+        self._support_code = support_code
+        self._workdirs: dict[str, list[Path]] = {}
+        # body -> its current driver (or what stopped its generation) and the argv selecting it
+        self._drivers: dict[str, tuple[GeneratedSource | PcaotError, tuple[str, ...]]] = {}
+        # Held while drivers are queued, so a replacement never races the queueing it replaces.
+        self._lock = threading.Lock()
+
+    def queue(self, workdirs: dict[str, list[Path]]) -> None:
+        """Queue a driver for each body, built in the directories workdirs gives it."""
+        self._workdirs = workdirs
+        shared = [body for body in workdirs if can_share_driver(body)]
+        if len(shared) < 2:
+            shared = []
+        with self._lock:
+            self._start(shared, split=True)
+            for body in workdirs:
+                if body not in shared:
+                    self._start([body])
+
+    def driver(self, body: str) -> tuple[GeneratedSource | PcaotError, tuple[str, ...]]:
+        """The driver a body ends up in and the argv that runs it, once no compile is pending."""
+        wait_idle()
+        return self._drivers[body]
+
+    def _start(self, bodies: list[str], split: bool = False) -> None:
+        # One driver for bodies; _failed(bodies, failure, split) if it holds several and fails.
+        if not bodies:
+            return
+        try:
+            driver = generate_replay_driver(
+                bodies, self._manifest, self._config.timing_repeats, self._support_code
+            )
+        except PcaotError as exc:
+            self._drivers.update((body, (exc, ())) for body in bodies)
+            return
+        alone = len(bodies) == 1
+        hook = None if alone else (lambda failure: self._failed(bodies, failure, split))
+        for k, body in enumerate(bodies):
+            self._drivers[body] = (driver, () if alone else (str(k),))
+            for workdir in self._workdirs[body]:
+                start_build(driver, replace(self._config.build, workdir=workdir), hook)
+
+    def _failed(self, bodies: list[str], failure: CompileFailure, split: bool) -> None:
+        # split (the first section driver): the named bodies go alone and the
+        # rest share a new driver.  With none named, or not split, all go alone.
+        named = {bodies[k] for k in bodies_named_in(failure.stderr) if k < len(bodies)}
+        rest = [body for body in bodies if body not in named] if split and named else []
+        with self._lock:
+            for body in bodies:
+                if body not in rest:
+                    self._start([body])
+            self._start(rest)
+
+
 def _queue_section(
     job: SectionJob,
     config: CampaignConfig,
@@ -586,14 +688,14 @@ def _queue_section(
     experiment: ExperimentPlan,
     rows: dict[tuple, CandidateRow],
     existing: dict[tuple, OutcomeRecord],
-) -> list[tuple[Origin, str | None, GeneratedSource | PcaotError | None]]:
-    """Load a section, queue its compiles, and return its versions, serial first.
+) -> tuple[list[tuple[Origin, str | None, ReservedName | None]], _SectionDrivers]:
+    """Load a section, queue its compiles, and return its versions and drivers.
 
-    Each version is (origin, code, driver).  driver is the replay driver
-    queued with runner.start_build, the PcaotError that stopped its
-    generation, or None when the version has a record or has no code.
-    Candidate code that names a reserved identifier outside comments and
-    strings is rejected, not generated.  The capture is queued unless already
+    Each version, serial first, is (origin, code, rejection).  rejection is
+    the ReservedName error of candidate code that names a reserved
+    identifier outside comments and strings; that code is neither generated
+    nor built.  The body of every other version with code and no record is
+    queued in the section's drivers.  The capture is queued unless already
     captured.  Raises CaptureFailure when the section does not load.
     """
     section, manifest, source_text = _load_section(job)
@@ -603,35 +705,36 @@ def _queue_section(
         capture = generate_capture_program(source_text, section, manifest)
         start_build(capture, replace(config.build, workdir=capture_dir))
     versions = []
+    workdirs: dict[str, list[Path]] = {}
     for origin in (Origin(tool_id=SERIAL_TOOL_ID), *experiment.candidate_origins):
         row = rows.get(_key(sid, origin))
         is_serial = origin.tool_id == SERIAL_TOOL_ID
         code = section.body_text if is_serial else (row.code if row is not None else None)
-        driver = None
+        rejection = None
         if code is not None and _key(sid, origin) not in existing:
             try:
                 if not is_serial:
                     _check_candidate_names(code)
-                driver = generate_replay_driver(
-                    code, manifest, config.timing_repeats, job.support_code
-                )
-                start_build(driver, replace(config.build, workdir=_version_dir(outdir, sid, origin)))
-            except PcaotError as exc:
-                driver = exc
-        versions.append((origin, code, driver))
-    return versions
+                workdirs.setdefault(code, []).append(_version_dir(outdir, sid, origin))
+            except ReservedName as exc:
+                rejection = exc
+        versions.append((origin, code, rejection))
+    drivers = _SectionDrivers(manifest, config, job.support_code)
+    drivers.queue(workdirs)
+    return versions, drivers
 
 
 def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
     """Capture, produce and validate everything a plan describes.
 
     Once the candidates exist, every section is queued (_queue_section), so
-    the first build() call waits for every compile and later ones are memo
-    hits.  Sections whose reference capture fails are skipped (and logged);
-    all other failures become per-version statuses.  Returns records in
-    deterministic order: sections in plan order, the serial baseline first,
-    then candidates by (tool, strategy, attempt).  Existing records.jsonl
-    rows are reused, new ones appended.
+    the first build() call waits for every compile, replacements of failed
+    section drivers included, and later ones are memo hits.  Sections whose
+    reference capture fails are skipped (and logged); all other failures
+    become per-version statuses.  Returns records in deterministic order:
+    sections in plan order, the serial baseline first, then candidates by
+    (tool, strategy, attempt).  Existing records.jsonl rows are reused, new
+    ones appended.
     """
     if not experiment.jobs:
         raise EmptyCampaign("experiment plan lists no sections")
@@ -643,12 +746,12 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     queued = []
     for job in experiment.jobs:
         try:
-            queued.append((job, _queue_section(job, config, outdir, experiment, rows, existing)))
+            queued.append((job, *_queue_section(job, config, outdir, experiment, rows, existing)))
         except CaptureFailure as exc:
             log.warning("section skipped: %s", exc)
     records: list[OutcomeRecord] = []
 
-    for job, versions in queued:
+    for job, versions, drivers in queued:
         try:
             ctx = capture_section(job, config, outdir)
         except CaptureFailure as exc:
@@ -657,14 +760,17 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
         sid = ctx.manifest.section_id
         serial_median = None
         timeout_s = _candidate_timeout(config, ctx.capture_wall_ns)
-        for origin, code, driver in versions:
+        for origin, code, rejection in versions:
             is_serial = origin.tool_id == SERIAL_TOOL_ID
             record = existing.get(_key(sid, origin))
             if record is None:
                 status, median, wall = ValidationStatus.EXTRACTION_ERROR, None, None
                 if code is not None:
+                    driver, argv = drivers.driver(code) if rejection is None else (rejection, ())
                     scratch = _version_dir(outdir, sid, origin)
-                    status, median, wall = _validate_code(driver, ctx, config, scratch, timeout_s)
+                    status, median, wall = _validate_code(
+                        driver, argv, code, ctx, config, scratch, timeout_s
+                    )
                 baseline = median if is_serial else serial_median
                 record = _make_record(ctx, origin, code, status, median, baseline, wall)
                 _append_jsonl(records_path, record.to_dict())

@@ -19,7 +19,11 @@ version.  The generators:
   fresh main() that redeclares the manifest variables, reloads the captured
   input before each timed repeat, times the body alone with a monotonic
   clock, prints one "PCAOT_TIME_NS <n>" line per repeat and writes the
-  resulting output checkpoint.
+  resulting output checkpoint.  Given several bodies of one section, it
+  puts each in a static function of its own, pcaot_body_<k>, behind a
+  #line marker that makes gcc name the body in its errors (bodies_named_in),
+  and main() runs the body that argv[1] numbers.  can_share_driver says
+  which bodies can go in such a driver.
 
 Arrays above 64 KiB are heap-allocated in drivers so large sections do not
 blow the stack; smaller ones keep plain array declarations.
@@ -27,15 +31,20 @@ blow the stack; smaller ones keep plain array declarations.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 from .checkpoint import TYPE_TAGS
 from .errors import PcaotError
+from .pattern import _strip_comments_and_strings
 from .sections import ExperimentalSection, StateManifest, VariableSpec, extract_sections
 
 STACK_ARRAY_LIMIT = 64 * 1024
 TIMING_LINE_PREFIX = "PCAOT_TIME_NS"
+# Body k of a driver of several bodies is the function pcaot_body_<k>.
+BODY_PREFIX = "pcaot_body_"
 
 C_TYPES = {"i8": "int8_t", "i32": "int32_t", "i64": "int64_t", "f32": "float", "f64": "double"}
 
@@ -318,38 +327,12 @@ def _zero_lines(var: VariableSpec) -> list[str]:
     return [f"        memset((void *)({var.name}), 0, {var.byte_size}ull);"]
 
 
-def generate_replay_driver(
-    section_body: str,
-    manifest: StateManifest,
-    timing_repeats: int = 3,
-    support_code: str = "",
-) -> GeneratedSource:
-    """Wrap a section body in a standalone timing-and-checkpoint driver.
-
-    The driver reloads the captured input (and re-zeroes pure-out
-    variables) before every repeat so each repeat starts from identical
-    state, times only the body with CLOCK_MONOTONIC, writes the output
-    checkpoint after the final repeat, then prints one timing line per
-    repeat.  support_code is inserted at file scope for bodies that call
-    helper functions.  The checkpoint helpers are only declared; link the
-    object compiled from HELPER_SOURCE (runner.build does).
-    """
-    if timing_repeats < 1:
-        raise ValueError("timing_repeats must be at least 1")
-    for var in manifest.variables:
-        _ctype(var)
-
+def _body_function_lines(
+    section_body: str, manifest: StateManifest, timing_repeats: int
+) -> list[str]:
+    """What a one-body driver's main() holds: declarations, timed repeats, outputs."""
     sid = manifest.section_id
-    lines: list[str] = [
-        "#define _POSIX_C_SOURCE 200809L",
-        "#include <time.h>",
-        "#include <math.h>",
-        HELPER_DECLS,
-    ]
-    if support_code.strip():
-        lines.append(support_code.rstrip("\n"))
-    lines.append("")
-    lines.append("int main(void) {")
+    lines: list[str] = []
     for var in manifest.variables:
         lines.extend(_declaration_lines(var))
     lines.append(f"    long long pcaot_ns[{timing_repeats}];")
@@ -391,5 +374,108 @@ def generate_replay_driver(
         if not var.is_scalar and var.byte_size > STACK_ARRAY_LIMIT:
             lines.append(f"    free((void *)({var.name}));")
     lines.append("    return 0;")
-    lines.append("}")
-    return GeneratedSource(kind=SourceKind.REPLAY_DRIVER, section_id=sid, text="\n".join(lines) + "\n")
+    return lines
+
+
+def generate_replay_driver(
+    section_body: str | Sequence[str],
+    manifest: StateManifest,
+    timing_repeats: int = 3,
+    support_code: str = "",
+) -> GeneratedSource:
+    """Wrap one section body, or several, in a standalone timing-and-checkpoint driver.
+
+    The driver reloads the captured input (and re-zeroes pure-out
+    variables) before every repeat so each repeat starts from identical
+    state, times only the body with CLOCK_MONOTONIC, writes the output
+    checkpoint after the final repeat, then prints one timing line per
+    repeat.  support_code is inserted at file scope for bodies that call
+    helper functions.  The checkpoint helpers are only declared; link the
+    object compiled from HELPER_SOURCE (runner.build does).
+
+    Given one body (a string), the driver's main() holds all of that and
+    ignores argv.  Given a sequence of bodies, body k goes in its own
+    static int pcaot_body_<k>(void), which holds what main() would, after a
+    #line 1 "pcaot_body_<k>.c" marker so that gcc names the body in its
+    diagnostics (bodies_named_in); main(argc, argv) runs the body whose
+    number is argv[1] and exits 3 on any other argv.  A one-element
+    sequence gives the one-body driver.  Only bodies that can_share_driver
+    accepts belong in a driver with others.
+    """
+    bodies = [section_body] if isinstance(section_body, str) else list(section_body)
+    if not bodies:
+        raise ValueError("a replay driver needs at least one body")
+    if timing_repeats < 1:
+        raise ValueError("timing_repeats must be at least 1")
+    for var in manifest.variables:
+        _ctype(var)
+
+    lines: list[str] = [
+        "#define _POSIX_C_SOURCE 200809L",
+        "#include <time.h>",
+        "#include <math.h>",
+        HELPER_DECLS,
+    ]
+    if support_code.strip():
+        lines.append(support_code.rstrip("\n"))
+    lines.append("")
+    if len(bodies) == 1:
+        lines.append("int main(void) {")
+        lines.extend(_body_function_lines(bodies[0], manifest, timing_repeats))
+        lines.append("}")
+    else:
+        lines.extend(f"static int {BODY_PREFIX}{k}(void);" for k in range(len(bodies)))
+        lines.append("")
+        lines.append("int main(int argc, char **argv) {")
+        lines.append('    const char *pcaot_which = argc == 2 ? argv[1] : "";')
+        lines.extend(
+            f'    if (strcmp(pcaot_which, "{k}") == 0) return {BODY_PREFIX}{k}();'
+            for k in range(len(bodies))
+        )
+        lines.append(f'    pcaot_die("run as: ./driver N, with N from 0 to {len(bodies) - 1}");')
+        lines.append("    return 3;")
+        lines.append("}")
+        for k, body in enumerate(bodies):
+            lines.append(f'#line 1 "{BODY_PREFIX}{k}.c"')
+            lines.append(f"static int {BODY_PREFIX}{k}(void) {{")
+            lines.extend(_body_function_lines(body, manifest, timing_repeats))
+            lines.append("}")
+    return GeneratedSource(
+        kind=SourceKind.REPLAY_DRIVER, section_id=manifest.section_id, text="\n".join(lines) + "\n"
+    )
+
+
+# A preprocessor line that is not "#pragma omp ...", once comments and strings are blanked.
+_FOREIGN_DIRECTIVE_RE = re.compile(r"^[ \t]*#(?![ \t]*pragma[ \t]+omp\b)", re.MULTILINE)
+
+
+def can_share_driver(section_body: str) -> bool:
+    """Whether a body can go in a replay driver together with other bodies.
+
+    Not when, once comments and strings are blanked, it has a preprocessor
+    line other than #pragma omp or uses _Pragma, whose effect would reach
+    the bodies after it, or its braces do not balance, so that it would not
+    stay inside its own function.
+    """
+    code = _strip_comments_and_strings(section_body)
+    if _FOREIGN_DIRECTIVE_RE.search(code) or "_Pragma" in code:
+        return False
+    depth = 0
+    for char in code:
+        if char == "{":
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
+_BODY_ERROR_RE = re.compile(
+    rf"^{BODY_PREFIX}(\d+)\.c:\d+:(?:\d+:)? (?:fatal )?error:", re.MULTILINE
+)
+
+
+def bodies_named_in(compiler_stderr: str) -> set[int]:
+    """The numbers of the bodies that gcc's error: lines name in a driver of several bodies."""
+    return {int(k) for k in _BODY_ERROR_RE.findall(compiler_stderr)}

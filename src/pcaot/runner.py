@@ -28,14 +28,19 @@ whose compile waits for it.  build() is start_build(), then a wait until no
 compile is queued or running, whoever started it, then the write of its own
 outputs.  So a caller that starts every build of a batch first has the whole
 batch compiled, on every core, inside its first build() call, and each later
-build() is a memo hit.  One workdir takes one source at a time.
+build() is a memo hit.  One workdir takes one source at a time.  A caller
+that can replace a source that fails passes start_build() an on_failure
+hook: it runs inside the failed compile's pool task, so the builds it starts
+are queued before that compile counts as done, and a wait for an idle pool
+(wait_idle(), build(), a timed run) also waits for them.
 
 Timed runs are serialized through a module-level lock so concurrent
 validation work cannot distort measurements, and each waits, holding that
 lock, until no compile started before it is queued or running: a timed run
 does not share the cores with the compiler.  The environment mapping given
 to run() is merged over the parent environment; its normal use is setting
-OMP_NUM_THREADS.
+OMP_NUM_THREADS.  run() passes its args to the binary; a replay driver of
+several bodies runs the body that its first argument names.
 
 Timed runs also bind OpenMP threads (OMP_PROC_BIND=spread, OMP_PLACES=cores),
 overriding any inherited OMP_PROC_BIND or OMP_PLACES.  Left unbound, the
@@ -55,6 +60,7 @@ import stat
 import subprocess
 import threading
 import time
+from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,16 +218,22 @@ def _compile_kept(
     return (stat.S_IMODE(out_path.stat().st_mode), out_path.read_bytes())
 
 
-def _memo_task(key: str, *args) -> tuple[int, bytes] | CompileFailure | None:
+def _memo_task(
+    key: str, on_failure: Callable[[CompileFailure], None] | None, *args
+) -> tuple[int, bytes] | CompileFailure | None:
     # Runs on _POOL.  An outcome that is not kept leaves the memo before its
-    # future completes, so a later build compiles again.
+    # future completes, so a later build compiles again; so does a failure
+    # handed to on_failure, after on_failure has queued what it queues.
     try:
         kept = _compile_kept(*args)
+        handed = isinstance(kept, CompileFailure) and on_failure is not None
+        if handed:
+            on_failure(kept)
     except BaseException:
         with _BUILDS_LOCK:
             _BUILDS.pop(key, None)
         raise
-    if kept is None:
+    if kept is None or handed:
         with _BUILDS_LOCK:
             _BUILDS.pop(key, None)
     return kept
@@ -234,6 +246,7 @@ def _submit(
     spec: BuildSpec,
     extra: tuple[str, ...],
     helper: Future | None = None,
+    on_failure: Callable[[CompileFailure], None] | None = None,
 ) -> Future:
     """Write text to src_path; the memo's future for out_path, queuing a compile on a miss."""
     # A compile of this same text may be reading src_path: leave an equal file alone.
@@ -246,12 +259,16 @@ def _submit(
         future = _BUILDS.get(key)
         if future is None:
             future = _BUILDS[key] = _POOL.submit(
-                _memo_task, key, spec, src_path, out_path, extra, helper
+                _memo_task, key, on_failure, spec, src_path, out_path, extra, helper
             )
     return future
 
 
-def _start(source: GeneratedSource, spec: BuildSpec) -> list[tuple[Future, Path]]:
+def _start(
+    source: GeneratedSource,
+    spec: BuildSpec,
+    on_failure: Callable[[CompileFailure], None] | None = None,
+) -> list[tuple[Future, Path]]:
     """start_build(); returns each output's future and path, the binary's last."""
     workdir = Path(spec.workdir).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
@@ -264,13 +281,15 @@ def _start(source: GeneratedSource, spec: BuildSpec) -> list[tuple[Future, Path]
         started.append((helper, helper_path))
         extra = (str(helper_path),)
     out_path = workdir / source.kind.value
-    binary = _submit(source.text, workdir / f"{source.kind.value}.c", out_path, spec, extra, helper)
+    binary = _submit(
+        source.text, workdir / f"{source.kind.value}.c", out_path, spec, extra, helper, on_failure
+    )
     started.append((binary, out_path))
     return started
 
 
-def _wait_idle() -> None:
-    """Block until no compile is queued or running."""
+def wait_idle() -> None:
+    """Block until no compile is queued or running, those that on_failure queued included."""
     while True:
         with _BUILDS_LOCK:
             pending = [future for future in _BUILDS.values() if not future.done()]
@@ -279,14 +298,24 @@ def _wait_idle() -> None:
         wait(pending)
 
 
-def start_build(source: GeneratedSource, spec: BuildSpec) -> None:
+def start_build(
+    source: GeneratedSource,
+    spec: BuildSpec,
+    on_failure: Callable[[CompileFailure], None] | None = None,
+) -> None:
     """Write the source into the workdir and queue its compile; do not wait.
 
     Queues what build() would compile, with the same memo: nothing for a
     source already built or queued in this process.  A later build() of the
     same source and spec waits for it and writes the binary.
+
+    When the compile this call queues fails, on_failure gets its
+    CompileFailure inside that compile's pool task, so any build it starts
+    is queued before the failed compile counts as done: wait_idle(), build()
+    and a timed run wait for those builds too.  Such a failure is not kept in
+    the memo.  on_failure is not called for a source found in the memo.
     """
-    _start(source, spec)
+    _start(source, spec, on_failure)
 
 
 def build(source: GeneratedSource, spec: BuildSpec) -> Path:
@@ -304,7 +333,7 @@ def build(source: GeneratedSource, spec: BuildSpec) -> Path:
     the helper object does not compile.
     """
     started = _start(source, spec)
-    _wait_idle()
+    wait_idle()
     for future, out_path in started:
         _place(future.result(), out_path)
     return started[-1][1]
@@ -314,14 +343,16 @@ def run(
     binary: Path,
     timeout_s: float = 60.0,
     env: dict[str, str] | None = None,
+    args: Sequence[str] = (),
 ) -> RunResult:
-    """Execute a binary in its own directory under a timeout.
+    """Execute a binary, with args as its arguments, in its own directory under a timeout.
 
-    The process is killed on timeout; its partial output is kept.  Timed
-    runs execute one at a time process-wide, and each starts its clock only
-    once no compile is queued or running.  The child gets OMP_PLACEMENT,
-    which replaces any inherited OMP_PROC_BIND and OMP_PLACES so that an
-    OpenMP team spreads over the usable cores; a key in env still wins.
+    The process is killed on timeout; its partial output is kept.  Output
+    that is not UTF-8 is decoded with replacement characters.  Timed runs
+    execute one at a time process-wide, and each starts its clock only once
+    no compile is queued or running.  The child gets OMP_PLACEMENT, which
+    replaces any inherited OMP_PROC_BIND and OMP_PLACES so that an OpenMP
+    team spreads over the usable cores; a key in env still wins.
     """
     binary = Path(binary)
     full_env = dict(os.environ)
@@ -330,15 +361,16 @@ def run(
     if env:
         full_env.update({k: str(v) for k, v in env.items()})
     with _TIMED_RUN_LOCK:
-        _wait_idle()
+        wait_idle()
         start = time.monotonic_ns()
         try:
             proc = subprocess.Popen(
-                [str(binary)],
+                [str(binary), *args],
                 cwd=binary.parent,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
+                errors="replace",
                 env=full_env,
             )
         except OSError as exc:

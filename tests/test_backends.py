@@ -299,6 +299,23 @@ def test_request_compiler_tool_failure(tmp_path):
     assert "boom" in excinfo.value.stderr
 
 
+def test_request_compiler_output_that_is_not_utf8(tmp_path):
+    # A byte that is not UTF-8 in the tool's output file and on its stderr.
+    script = tmp_path / "latin1tool"
+    script.write_text('#!/bin/sh\ncp "$1" "$2"\nprintf "/* \\377 */\\n" >> "$2"\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    driver = CompilerDriverConfig(tool_id="latin1", command=f"{script} {{src}} {{out}}")
+    candidate = request_compiler(_request(strategy=None), driver, MANIFEST, workdir=tmp_path)
+    assert candidate.code.strip() == SECTION
+    failing = tmp_path / "latin1fail"
+    failing.write_text('#!/bin/sh\nprintf "boom \\377" >&2\nexit 9\n')
+    failing.chmod(failing.stat().st_mode | stat.S_IEXEC)
+    driver = CompilerDriverConfig(tool_id="bad", command=f"{failing} {{src}} {{out}}")
+    with pytest.raises(ToolFailure) as excinfo:
+        request_compiler(_request(strategy=None), driver, MANIFEST, workdir=tmp_path)
+    assert excinfo.value.stderr == "boom \ufffd"
+
+
 def test_request_compiler_output_missing(tmp_path):
     script = tmp_path / "silent"
     script.write_text("#!/bin/sh\nexit 0\n")

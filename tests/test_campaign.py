@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcaot import campaign, runner
-from pcaot.backends import CompilerDriverConfig, MockLlm, PromptStrategy
+from pcaot.backends import CompilerDriverConfig, MockLlm, PromptStrategy, extract_code
 from pcaot.campaign import (
     CampaignConfig,
     EmptyCampaign,
@@ -30,6 +30,7 @@ from pcaot.cli import main
 from pcaot.errors import ParseError
 from pcaot.pattern import OutcomeCategory, ValidationStatus
 from pcaot.runner import BuildSpec, run
+from pcaot.sections import extract_sections
 
 from conftest import needs_gcc
 
@@ -343,6 +344,8 @@ WRONG = (
     "```"
 )
 GARBAGE = "```c\nfor this will not compile at all (\n```"
+# A missing semicolon: gcc's errors stay within the body's own lines.
+SYNTAX = GOOD.replace("total = 0.0;", "total = 0.0")
 
 
 @needs_gcc
@@ -532,19 +535,43 @@ def test_reserved_names_in_candidate_code_are_not_a_pass(tmp_path, caplog):
         assert f"reserved {name}" in caplog.text
 
 
+# The right sum, then two bytes that are not UTF-8 on stdout.
+NOT_UTF8 = _summing('    printf("\\xff\\xfe\\n");\n')
+
+
+@needs_gcc
+def test_output_that_is_not_utf8_is_not_a_crash(tmp_path):
+    mock = CountingMock("mock", {"tiny": NOT_UTF8})
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(mock,),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=2,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    statuses = {(r.tool, r.strategy): r.status for r in records}
+    # Its timing lines and its output are intact.
+    assert statuses == {
+        ("serial", None): ValidationStatus.PASS,
+        ("mock", "IP"): ValidationStatus.PASS,
+    }
+
+
 @needs_gcc
 def test_each_version_generates_its_driver_once(tmp_path, monkeypatch):
     calls = []
     real_generate = campaign.generate_replay_driver
 
-    def counting_generate(*args, **kwargs):
-        calls.append(args)
-        return real_generate(*args, **kwargs)
+    def counting_generate(bodies, *args, **kwargs):
+        calls.append(list(bodies))
+        return real_generate(bodies, *args, **kwargs)
 
     monkeypatch.setattr(campaign, "generate_replay_driver", counting_generate)
     mock = CountingMock("mock", {
         "tiny/IP": GOOD,
-        "tiny/DIP": GARBAGE,
+        "tiny/DIP": SYNTAX,
         "tiny/CoT/1": FORGED_NS,
         "tiny/CoT/2": "",
     })
@@ -558,10 +585,22 @@ def test_each_version_generates_its_driver_once(tmp_path, monkeypatch):
     )
     outdir = tmp_path / "out"
     first = execute(plan(config), config, outdir)
-    statuses = [r.status for r in first]
-    assert statuses.count(ValidationStatus.EXTRACTION_ERROR) == 1
-    # serial, copyc, IP x2 and DIP x2; not the rejected or the empty CoT responses.
-    assert len(calls) == 6
+    statuses = {(r.tool, r.strategy, r.attempt): r.status for r in first}
+    assert statuses == {
+        ("serial", None, None): ValidationStatus.PASS,
+        ("copyc", None, None): ValidationStatus.PASS,
+        ("mock", "CoT", 1): ValidationStatus.COMPILE_ERROR,
+        ("mock", "CoT", 2): ValidationStatus.EXTRACTION_ERROR,
+        **{("mock", "DIP", a): ValidationStatus.COMPILE_ERROR for a in (1, 2)},
+        **{("mock", "IP", a): ValidationStatus.PASS for a in (1, 2)},
+    }
+    # One section driver for the three distinct bodies (serial = copyc, the
+    # syntax error, GOOD); not the rejected or the empty CoT responses.  gcc
+    # names the syntax error, which gets a driver of its own, and the other
+    # two share a new section driver.
+    (serial,) = (s.body_text for s in extract_sections(SECTION_SOURCE, "tiny.c"))
+    syntax, good = extract_code(SYNTAX), extract_code(GOOD)
+    assert calls == [[serial, syntax, good], [syntax], [serial, good]]
     calls.clear()
     second = execute(plan(config), config, outdir)
     assert calls == []
@@ -612,6 +651,10 @@ def test_output_directory_rebuilds_a_driver(tmp_path):
     assert {r.status for r in records} == {ValidationStatus.PASS}
     section = outdir / "sections" / "tiny"
     scratch = section / "candidates" / "mock__IP__1"
+    # The section driver holds the serial body and the candidate's.
+    argv = (scratch / "driver.args").read_text().split()
+    assert argv == ["1"]
+    assert (section / "serial" / "driver.c").read_bytes() == (scratch / "driver.c").read_bytes()
     # Only the output directory: the driver, the helpers and the captured input.
     rebuilt = tmp_path / "rebuilt"
     rebuilt.mkdir()
@@ -622,7 +665,7 @@ def test_output_directory_rebuilds_a_driver(tmp_path):
         capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    result = run(rebuilt / "driver", env={"OMP_NUM_THREADS": "1"})
+    result = run(rebuilt / "driver", env={"OMP_NUM_THREADS": "1"}, args=argv)
     assert result.exit_code == 0, result.stderr
     assert (rebuilt / "tiny.out.ckpt").read_bytes() == (scratch / "tiny.out.ckpt").read_bytes()
 
@@ -632,7 +675,7 @@ def test_gcc_runs_once_per_distinct_driver(tmp_path):
     spec, log = _logging_gcc(tmp_path)
     job = _write_section(tmp_path)
     # Each strategy repeats itself; copyc hands back the serial code.
-    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": GARBAGE})
+    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": SYNTAX})
     config = CampaignConfig(
         sections=(job,),
         llm_backends=(mock,),
@@ -652,12 +695,20 @@ def test_gcc_runs_once_per_distinct_driver(tmp_path):
         **{("mock", "DIP", a): ValidationStatus.NUMERIC_MISMATCH for a in (1, 2)},
         **{("mock", "CoT", a): ValidationStatus.COMPILE_ERROR for a in (1, 2)},
     }
-    # 4 distinct driver texts (serial = copyc, GOOD, WRONG, GARBAGE), one
-    # capture and one helper object.
-    compiled = [Path(line).name for line in log.read_text().splitlines()]
-    assert sorted(compiled) == ["capture.c"] + ["driver.c"] * 4 + ["pcaot_helpers.c"]
-    # Every version that built still has its own source and binary.
+    # One capture, one helper object and the section driver of the 4 distinct
+    # bodies (serial = copyc, SYNTAX, WRONG, GOOD).  It fails, so the
+    # SYNTAX body gets a driver of its own, built in the first directory
+    # that needs it, and the other three a new section driver.
     section = outdir / "sections" / "tiny"
+    compiled = [str(Path(line).relative_to(section)) for line in log.read_text().splitlines()]
+    assert sorted(compiled) == [
+        "candidates/mock__CoT__1/driver.c",
+        "capture/capture.c",
+        "serial/driver.c",
+        "serial/driver.c",
+        "serial/pcaot_helpers.c",
+    ]
+    # Every version that built still has its own source and binary.
     version_dirs = [section / "serial", *(section / "candidates").iterdir()]
     assert len(version_dirs) == 8
     for version_dir in version_dirs:
@@ -681,13 +732,13 @@ def test_every_compile_precedes_the_first_timed_run(tmp_path, monkeypatch):
     compiled_before_run = []
     real_run = campaign.run
 
-    def recording_run(binary, timeout_s=60.0, env=None):
+    def recording_run(binary, timeout_s=60.0, env=None, args=()):
         compiled_before_run.append(len(log.read_text().splitlines()))
-        return real_run(binary, timeout_s=timeout_s, env=env)
+        return real_run(binary, timeout_s=timeout_s, env=env, args=args)
 
     monkeypatch.setattr(campaign, "run", recording_run)
     static = GOOD.replace("reduction(+:total)", "reduction(+:total) schedule(static)")
-    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": static, "tiny/CoT": GARBAGE})
+    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": static, "tiny/CoT": SYNTAX})
     config = CampaignConfig(
         sections=(_write_section(tmp_path),),
         llm_backends=(mock,),
@@ -696,7 +747,8 @@ def test_every_compile_precedes_the_first_timed_run(tmp_path, monkeypatch):
         threads=1,
         build=spec,
     )
-    records = execute(plan(config), config, tmp_path / "out")
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
     statuses = {(r.tool, r.strategy): r.status for r in records}
     assert statuses == {
         ("serial", None): ValidationStatus.PASS,
@@ -704,9 +756,150 @@ def test_every_compile_precedes_the_first_timed_run(tmp_path, monkeypatch):
         ("mock", "DIP"): ValidationStatus.PASS,
         ("mock", "CoT"): ValidationStatus.COMPILE_ERROR,
     }
-    # The capture, the helper object and four drivers, all before the capture run.
-    assert len(log.read_text().splitlines()) == 6
-    assert compiled_before_run == [6] * 4
+    # The capture, the helper object, the failed section driver of four
+    # bodies, the syntax error's own driver and the section driver of the
+    # other three, which the passing versions ran: all before the capture run.
+    assert len(log.read_text().splitlines()) == 5
+    assert compiled_before_run == [5] * 4
+    section = outdir / "sections" / "tiny"
+    assert (section / "serial" / "driver.args").read_text() == "0\n"
+    for name, argv in (("mock__DIP__1", "1\n"), ("mock__IP__1", "2\n")):
+        assert (section / "candidates" / name / "driver.args").read_text() == argv
+        assert (section / "candidates" / name / "driver.c").read_bytes() == (
+            section / "serial" / "driver.c"
+        ).read_bytes()
+    assert "pcaot_body_2" in (section / "serial" / "driver.c").read_text()
+
+
+@needs_gcc
+@pytest.mark.parametrize("named", [None, 0])
+def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named):
+    # gcc, except that every driver of several bodies fails with one error
+    # line, which names no body or body 0.
+    where = "driver.c" if named is None else f"pcaot_body_{named}.c"
+    script = tmp_path / "nosection-cc"
+    log = tmp_path / "gcc.log"
+    script.write_text(
+        f'#!/bin/sh\necho "$1" >> {log}\n'
+        f'if grep -q pcaot_body_ "$1"; then echo "{where}:1:1: error: no" >&2; exit 1; fi\n'
+        'exec gcc "$@"\n'
+    )
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    static = GOOD.replace("reduction(+:total)", "reduction(+:total) schedule(static)")
+    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": static})
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(mock,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+        build=BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"),
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    statuses = {(r.tool, r.strategy): r.status for r in records}
+    assert statuses == {
+        ("serial", None): ValidationStatus.PASS,
+        ("mock", "CoT"): ValidationStatus.PASS,
+        ("mock", "DIP"): ValidationStatus.NUMERIC_MISMATCH,
+        ("mock", "IP"): ValidationStatus.PASS,
+    }
+    section = outdir / "sections" / "tiny"
+    compiled = [str(Path(line).relative_to(section)) for line in log.read_text().splitlines()]
+    alone = ["candidates/mock__CoT__1/driver.c", "candidates/mock__DIP__1/driver.c",
+             "candidates/mock__IP__1/driver.c", "serial/driver.c"]
+    # Named: the serial body (0) alone and a new section driver for the
+    # other three, built in the first directory that needs it, which fails
+    # too.  Either way each body ends alone.
+    retried = [] if named is None else ["candidates/mock__CoT__1/driver.c"]
+    assert sorted(compiled) == sorted(
+        ["capture/capture.c", "serial/pcaot_helpers.c", "serial/driver.c", *alone, *retried]
+    )
+    for version_dir in (section / "serial", *(section / "candidates").iterdir()):
+        assert (version_dir / "driver.args").read_text() == "\n"
+        assert "pcaot_body_" not in (version_dir / "driver.c").read_text()
+
+
+# Stores how many CPUs the body's thread may run on.
+AFFINITY_SOURCE = """\
+#include <stdio.h>
+
+int sched_getaffinity(int pid, unsigned long size, void *mask);
+
+int main(void) {
+    int ncpu = 0;
+#pragma experimental section start id=aff
+    {
+        unsigned long mask[16] = {0};
+        int j;
+        ncpu = 0;
+        if (sched_getaffinity(0, sizeof mask, mask) == 0)
+            for (j = 0; j < 16; j++) ncpu += __builtin_popcountl(mask[j]);
+    }
+#pragma experimental section stop
+    printf("%d\\n", ncpu);
+    return 0;
+}
+"""
+AFFINITY_PARALLEL = """```c
+#pragma omp parallel
+    {
+#pragma omp master
+        {
+            unsigned long mask[16] = {0};
+            int j;
+            ncpu = 0;
+            if (sched_getaffinity(0, sizeof mask, mask) == 0)
+                for (j = 0; j < 16; j++) ncpu += __builtin_popcountl(mask[j]);
+        }
+    }
+```"""
+
+
+@needs_gcc
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable cores")
+def test_serial_code_is_not_pinned_in_a_driver_that_links_libgomp(tmp_path, monkeypatch):
+    envs = {}
+    real_run = campaign.run
+
+    def recording_run(binary, timeout_s=60.0, env=None, args=()):
+        envs[Path(binary).parent.name] = env
+        return real_run(binary, timeout_s=timeout_s, env=env, args=args)
+
+    monkeypatch.setattr(campaign, "run", recording_run)
+    (tmp_path / "aff.c").write_text(AFFINITY_SOURCE)
+    (tmp_path / "aff.json").write_text(json.dumps({
+        "section_id": "aff",
+        "parallelizable": True,
+        "expected_pattern": "PO",
+        "variables": [{"name": "ncpu", "elem_type": "i32", "direction": "out"}],
+    }))
+    job = SectionJob(
+        source_path=tmp_path / "aff.c",
+        manifest_path=tmp_path / "aff.json",
+        support_code="int sched_getaffinity(int pid, unsigned long size, void *mask);",
+    )
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"aff": AFFINITY_PARALLEL}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=2,
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    serial_dir = outdir / "sections" / "aff" / "serial"
+    # The serial body shares a driver with the OpenMP candidate, so it links libgomp.
+    assert "pcaot_body_1" in (serial_dir / "driver.c").read_text()
+    assert b"libgomp" in (serial_dir / "driver").read_bytes()
+    # It still sees every usable core, as the capture did.
+    assert records[0].status is ValidationStatus.PASS
+    out = campaign.ckpt.read_checkpoint_file(serial_dir / "aff.out.ckpt")
+    assert int(out.record("ncpu").values()) == len(os.sched_getaffinity(0))
+    assert envs["serial"]["OMP_PROC_BIND"] == "false"
+    # The OpenMP candidate keeps runner.OMP_PLACEMENT.
+    assert "OMP_PROC_BIND" not in envs["mock__IP__1"]
 
 
 @needs_gcc
@@ -769,10 +962,10 @@ def test_resume_gives_candidates_the_fresh_timeout(tmp_path, monkeypatch):
     timeouts = []
     real_run = campaign.run
 
-    def recording_run(binary, timeout_s=60.0, env=None):
+    def recording_run(binary, timeout_s=60.0, env=None, args=()):
         if Path(binary).parent.parent.name == "candidates":
             timeouts.append(timeout_s)
-        return real_run(binary, timeout_s=timeout_s, env=env)
+        return real_run(binary, timeout_s=timeout_s, env=env, args=args)
 
     monkeypatch.setattr(campaign, "run", recording_run)
     job = _write_section(tmp_path)

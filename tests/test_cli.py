@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -155,6 +156,30 @@ def test_full_run_writes_reports(sample_run):
 
 
 @needs_gcc
+def test_sample_campaign_verdicts(sample_run):
+    # The mock responses put "parallel for" on the outermost loop of vecscale
+    # and sumsqrt (their expected pattern, PO) and leave chain_dp's
+    # recurrence alone; copyc and the serial baseline pass the code through.
+    expected = {}
+    for sid, llm_category, plain_category in (
+        ("vecscale", "ExpectedApplied", "UnexpectedCorrect"),
+        ("sumsqrt", "ExpectedApplied", "UnexpectedCorrect"),
+        ("chain_dp", "CorrectlyRefused", "CorrectlyRefused"),
+    ):
+        expected[(sid, "serial", None, None)] = ("Pass", plain_category)
+        expected[(sid, "copyc", None, None)] = ("Pass", plain_category)
+        for strategy in ("IP", "DIP", "CoT"):
+            expected[(sid, "mockllm", strategy, 1)] = ("Pass", llm_category)
+    rows = [json.loads(line) for line in (sample_run / "records.jsonl").read_text().splitlines()]
+    got = {
+        (r["section_id"], r["tool"], r["strategy"], r["attempt"]): (r["status"], r["category"])
+        for r in rows
+    }
+    assert len(rows) == 15
+    assert got == expected
+
+
+@needs_gcc
 def test_report_regeneration_is_byte_identical(sample_run, capsys):
     names = ("records.csv", "metrics.json", "failure_by_size.svg",
              "pattern_categories.svg", "speedups.svg")
@@ -209,10 +234,13 @@ def test_console_entry_point_help():
 
 
 def test_module_invocation():
+    # The child finds pcaot in this checkout's src/, as pytest itself does.
+    paths = [str(SAMPLES.parent / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "pcaot.cli", "--help"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert proc.returncode == 0

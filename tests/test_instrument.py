@@ -22,13 +22,15 @@ from pcaot.instrument import (
     STACK_ARRAY_LIMIT,
     SourceKind,
     UnknownSection,
+    bodies_named_in,
+    can_share_driver,
     capture_insertion_line_count,
     generate_capture_program,
     generate_replay_driver,
     input_checkpoint_name,
     output_checkpoint_name,
 )
-from pcaot.runner import BuildSpec, build, collect_timing, run
+from pcaot.runner import BuildSpec, CompileFailure, build, collect_timing, run
 from pcaot.sections import StateManifest, VariableSpec, extract_sections
 
 from conftest import needs_gcc
@@ -384,6 +386,76 @@ def test_outputs_only_driver_compiles_without_warnings(workdir):
     driver = generate_replay_driver("y[0] = 1.0; y[1] = 2.0; y[2] = 3.0;", manifest)
     spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
     assert build(driver, spec).is_file()
+
+
+@needs_gcc
+def test_driver_of_several_bodies_runs_the_one_argv_names(workdir):
+    manifest = manifest_of(VariableSpec("k", "i32", (), "out"))
+    driver = generate_replay_driver(["k = 7;", "k = 8;", "k = 9;"], manifest, timing_repeats=2)
+    spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
+    binary = build(driver, spec)
+    for argv, value in ((["0"], 7), (["1"], 8), (["2"], 9)):
+        result = run(binary, timeout_s=60.0, args=argv)
+        assert result.exit_code == 0, result.stderr
+        assert len(collect_timing(result, 2).samples_ns) == 2
+        out = read_checkpoint_file(workdir / output_checkpoint_name("sec"))
+        assert out.record("k").values() == np.int32(value)
+    for argv in ([], ["3"], ["1", "2"], ["01"]):
+        result = run(binary, timeout_s=60.0, args=argv)
+        assert result.exit_code == 3
+        assert "pcaot: run as: ./driver N, with N from 0 to 2" in result.stderr
+
+
+def test_one_body_driver_is_the_same_from_a_string_or_a_list():
+    manifest = manifest_of(VariableSpec("k", "i32", (), "out"))
+    text = generate_replay_driver("k = 7;", manifest).text
+    assert generate_replay_driver(["k = 7;"], manifest).text == text
+    assert "int main(void) {" in text
+    assert "pcaot_body_" not in text
+    with pytest.raises(ValueError):
+        generate_replay_driver([], manifest)
+
+
+@needs_gcc
+def test_gcc_names_the_failing_body(workdir):
+    manifest = manifest_of(VariableSpec("k", "i32", (), "out"))
+    bodies = ["k = 7;", "k = undeclared_name;", "k = 9;", "k = 10"]
+    driver = generate_replay_driver(bodies, manifest, timing_repeats=1)
+    with pytest.raises(CompileFailure) as excinfo:
+        build(driver, BuildSpec(workdir=workdir))
+    assert bodies_named_in(excinfo.value.stderr) == {1, 3}
+
+
+def test_bodies_named_in_reads_error_lines_only():
+    stderr = (
+        "pcaot_body_2.c: In function 'pcaot_body_2':\n"
+        "pcaot_body_2.c:14:5: error: expected ';' before '}' token\n"
+        "pcaot_body_4.c:3:1: warning: unused variable 'x'\n"
+        "pcaot_body_5.c:3: fatal error: too many errors\n"
+        "/tmp/x/driver.c:1:1: error: pcaot_body_7.c:1:1: error: quoted\n"
+        "collect2: error: ld returned 1 exit status\n"
+    )
+    assert bodies_named_in(stderr) == {2, 5}
+
+
+@pytest.mark.parametrize(
+    "body, shares",
+    [
+        ("total = 0.0;\n#pragma omp parallel for reduction(+:total)\nfor (;;) { }", True),
+        ("  #  pragma   omp parallel\n{ }", True),
+        ("/* { */ x = '}'; y = \"{{\"; // }", True),
+        ("#pragma GCC unroll 4\nfor (;;) { }", False),
+        ("#define N 4\nx = N;", False),
+        ("#include <omp.h>\nx = 1;", False),
+        ("_Pragma(\"omp parallel\") { }", False),
+        ("x = 1; }", False),
+        ("} x = 1; {", False),
+        ("{ x = 1;", False),
+        ("for this will not compile at all (", True),
+    ],
+)
+def test_can_share_driver(body, shares):
+    assert can_share_driver(body) is shares
 
 
 def _compile_helpers_with(decls, workdir):

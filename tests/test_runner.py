@@ -326,6 +326,39 @@ def test_concurrent_builds_compile_each_source_once(tmp_path):
         assert binary.read_bytes().startswith(text.encode())
 
 
+def test_on_failure_queues_its_builds_before_the_failure_is_done(tmp_path):
+    # The hook runs in the failed compile's task, sleeps, then starts a slow
+    # build: wait_idle() returns only once that build is done too, and the
+    # failure it was handed is not kept.
+    compiler_cmd, log = _writing_compiler(tmp_path, delay_s=0.2)
+    spec = BuildSpec(compiler_cmd=compiler_cmd)
+    handed = []
+
+    def on_failure(failure):
+        handed.append((threading.current_thread().name, failure.stderr))
+        time.sleep(0.2)
+        runner.start_build(_source("fallback"), replace(spec, workdir=tmp_path / "b"))
+
+    runner.start_build(_source("FAIL"), replace(spec, workdir=tmp_path / "a"), on_failure)
+    runner.wait_idle()
+    assert len(handed) == 1
+    assert handed[0][0].startswith("pcaot-build")
+    assert "cannot compile" in handed[0][1]
+    assert len(_source_compiles(log)) == 2
+    assert build(_source("fallback"), replace(spec, workdir=tmp_path / "b")).is_file()
+    assert len(_source_compiles(log)) == 2
+    with pytest.raises(CompileFailure):
+        build(_source("FAIL"), replace(spec, workdir=tmp_path / "a"))
+    assert len(_source_compiles(log)) == 3
+
+
+def test_run_passes_args_and_replaces_bytes_that_are_not_utf8(tmp_path):
+    probe = _executable(tmp_path / "probe", '#!/bin/sh\nprintf "%s|\\377\\n" "$*"\n')
+    result = run(probe, args=("1", "two"))
+    assert result.exit_code == 0
+    assert result.stdout == "1 two|\ufffd\n"
+
+
 RENDEZVOUS_CC = """#!/bin/sh
 # A compiler that copies SRC to OUT.  A driver compile first announces
 # itself in MARKS and waits up to 5 s for a second one to arrive.
