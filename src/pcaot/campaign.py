@@ -9,10 +9,10 @@ through one thread pool of config.max_inflight workers and persisted in
 plan order.  Validation then decides each version once: a queue step per
 section generates one replay driver for the section, holding the distinct
 code of every version that needs a record, serial included, and queues its
-compile on runner's pool in each of those versions' directories, for every
-section before the first capture runs.  Code that cannot share a driver,
-and code that gcc names in a failed section driver's errors, gets a driver
-of its own (_SectionDrivers).  One version loop then builds, runs and
+compile on runner's pool once, in the first of those versions' directories,
+for every section before the first capture runs.  Code that cannot share a
+driver, and code that gcc names in a failed section driver's errors, gets a
+driver of its own (_SectionDrivers).  One version loop then builds, runs and
 records each version with its driver, selecting its code through argv.
 
 Filesystem contract under the output directory (shared by the staged CLI
@@ -40,7 +40,6 @@ import logging
 import math
 import re
 import shutil
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -137,6 +136,11 @@ class SectionJob:
     support_code: str = ""
     hand_optimized_ns: int | None = None
 
+    def __post_init__(self) -> None:
+        value = self.hand_optimized_ns
+        if value is not None and (type(value) is not int or value < 1):
+            raise ParseError("hand_optimized_ns must be a positive integer")
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -158,6 +162,9 @@ class CampaignConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ParseError(f"{name} must be an integer of at least 1")
+        timeout = self.timeout_s
+        if timeout is not None and not (type(timeout) in (int, float) and 0 < timeout < math.inf):
+            raise ParseError("timeout_s must be a positive finite number")
         if any(type(b) is not int or b <= 0 for b in self.size_buckets):
             raise ParseError("size_buckets must be positive integers")
         if any(b <= a for a, b in zip(self.size_buckets, self.size_buckets[1:])):
@@ -620,31 +627,31 @@ class _SectionDrivers:
     bodies gets a one-body driver.  These replacements are queued from the
     failed compile's pool task (runner.start_build's on_failure), so every
     compile is queued or done before a build or a timed run stops waiting.
-    Each driver is queued in the directory of every version that runs one
-    of its bodies.
+    Each driver is queued once, in the directory of the first version that
+    runs one of its bodies.  No lock is needed: all entries of a driver are
+    written before its compile is queued, and a failure hook, on a pool
+    thread, writes only the entries of the driver that failed, so no entry
+    is written after its driver's compile is queued.
     """
 
     def __init__(self, manifest: StateManifest, config: CampaignConfig, support_code: str) -> None:
         self._manifest = manifest
         self._config = config
         self._support_code = support_code
-        self._workdirs: dict[str, list[Path]] = {}
+        self._workdirs: dict[str, Path] = {}
         # body -> its current driver (or what stopped its generation) and the argv selecting it
         self._drivers: dict[str, tuple[GeneratedSource | PcaotError, tuple[str, ...]]] = {}
-        # Held while drivers are queued, so a replacement never races the queueing it replaces.
-        self._lock = threading.Lock()
 
-    def queue(self, workdirs: dict[str, list[Path]]) -> None:
-        """Queue a driver for each body, built in the directories workdirs gives it."""
+    def queue(self, workdirs: dict[str, Path]) -> None:
+        """Queue a driver for each body; workdirs gives each body its first version's directory."""
         self._workdirs = workdirs
         shared = [body for body in workdirs if can_share_driver(body)]
         if len(shared) < 2:
             shared = []
-        with self._lock:
-            self._start(shared, split=True)
-            for body in workdirs:
-                if body not in shared:
-                    self._start([body])
+        self._start(shared, split=True)
+        for body in workdirs:
+            if body not in shared:
+                self._start([body])
 
     def driver(self, body: str) -> tuple[GeneratedSource | PcaotError, tuple[str, ...]]:
         """The driver a body ends up in and the argv that runs it, once no compile is pending."""
@@ -663,22 +670,20 @@ class _SectionDrivers:
             self._drivers.update((body, (exc, ())) for body in bodies)
             return
         alone = len(bodies) == 1
-        hook = None if alone else (lambda failure: self._failed(bodies, failure, split))
         for k, body in enumerate(bodies):
             self._drivers[body] = (driver, () if alone else (str(k),))
-            for workdir in self._workdirs[body]:
-                start_build(driver, replace(self._config.build, workdir=workdir), hook)
+        hook = None if alone else (lambda failure: self._failed(bodies, failure, split))
+        start_build(driver, replace(self._config.build, workdir=self._workdirs[bodies[0]]), hook)
 
     def _failed(self, bodies: list[str], failure: CompileFailure, split: bool) -> None:
         # split (the first section driver): the named bodies go alone and the
         # rest share a new driver.  With none named, or not split, all go alone.
         named = {bodies[k] for k in bodies_named_in(failure.stderr) if k < len(bodies)}
         rest = [body for body in bodies if body not in named] if split and named else []
-        with self._lock:
-            for body in bodies:
-                if body not in rest:
-                    self._start([body])
-            self._start(rest)
+        for body in bodies:
+            if body not in rest:
+                self._start([body])
+        self._start(rest)
 
 
 def _queue_section(
@@ -705,7 +710,7 @@ def _queue_section(
         capture = generate_capture_program(source_text, section, manifest)
         start_build(capture, replace(config.build, workdir=capture_dir))
     versions = []
-    workdirs: dict[str, list[Path]] = {}
+    workdirs: dict[str, Path] = {}
     for origin in (Origin(tool_id=SERIAL_TOOL_ID), *experiment.candidate_origins):
         row = rows.get(_key(sid, origin))
         is_serial = origin.tool_id == SERIAL_TOOL_ID
@@ -715,7 +720,7 @@ def _queue_section(
             try:
                 if not is_serial:
                     _check_candidate_names(code)
-                workdirs.setdefault(code, []).append(_version_dir(outdir, sid, origin))
+                workdirs.setdefault(code, _version_dir(outdir, sid, origin))
             except ReservedName as exc:
                 rejection = exc
         versions.append((origin, code, rejection))
@@ -1141,6 +1146,8 @@ def load_campaign_config(path: Path) -> CampaignConfig:
         build_doc = doc["build"]
         build_settings = _present(build_doc, "compiler_cmd")
         if "flags" in build_doc:
+            if not isinstance(build_doc["flags"], list):
+                raise ParseError("build flags must be a list of strings")
             build_settings["flags"] = tuple(build_doc["flags"])
         settings["build"] = BuildSpec(**build_settings)
 

@@ -149,7 +149,8 @@ class _Cursor:
 def decode(data: bytes) -> Checkpoint:
     """Parse wire bytes back into a Checkpoint.
 
-    Raises BadMagic, UnsupportedVersion, UnknownTypeTag or TruncatedPayload.
+    Raises BadMagic, UnsupportedVersion, UnknownTypeTag, TruncatedPayload,
+    or ParseError for a record name that is not UTF-8.
     """
     cur = _Cursor(data)
     magic = cur.take(4, "magic")
@@ -161,7 +162,10 @@ def decode(data: bytes) -> Checkpoint:
     records = []
     for index in range(count):
         (name_len,) = struct.unpack("<H", cur.take(2, f"record {index} name length"))
-        name = cur.take(name_len, f"record {index} name").decode("utf-8")
+        try:
+            name = cur.take(name_len, f"record {index} name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"record {index} name is not UTF-8: {exc}") from exc
         tag, rank = struct.unpack("<BB", cur.take(2, f"record {name!r} type/rank"))
         if tag not in TAG_TYPES:
             raise UnknownTypeTag(f"record {name!r}: type tag {tag}")

@@ -447,6 +447,8 @@ def generate_replay_driver(
 
 # A preprocessor line that is not "#pragma omp ...", once comments and strings are blanked.
 _FOREIGN_DIRECTIVE_RE = re.compile(r"^[ \t]*#(?![ \t]*pragma[ \t]+omp\b)", re.MULTILINE)
+# Each closing bracket and the opening bracket it must match.
+_OPENING = {"}": "{", ")": "(", "]": "["}
 
 
 def can_share_driver(section_body: str) -> bool:
@@ -454,21 +456,20 @@ def can_share_driver(section_body: str) -> bool:
 
     Not when, once comments and strings are blanked, it has a preprocessor
     line other than #pragma omp or uses _Pragma, whose effect would reach
-    the bodies after it, or its braces do not balance, so that it would not
-    stay inside its own function.
+    the bodies after it, or its braces, parentheses and brackets do not
+    nest and balance, so that it would not stay inside its own function, or
+    gcc would report its errors in the bodies after it.
     """
     code = _strip_comments_and_strings(section_body)
     if _FOREIGN_DIRECTIVE_RE.search(code) or "_Pragma" in code:
         return False
-    depth = 0
+    opened: list[str] = []
     for char in code:
-        if char == "{":
-            depth += 1
-        elif char == "}":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+        if char in "{([":
+            opened.append(char)
+        elif char in _OPENING and (not opened or opened.pop() != _OPENING[char]):
+            return False
+    return not opened
 
 
 _BODY_ERROR_RE = re.compile(

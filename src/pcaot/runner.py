@@ -1,32 +1,33 @@
 """Compile and execute generated programs; collect their timing lines.
 
 A replay driver only declares the checkpoint helpers.  build() writes
-instrument.HELPER_SOURCE as pcaot_helpers.c into the driver's workdir,
-makes pcaot_helpers.o from it there with -c, and links the driver with that
-object.  Capture programs carry their own static copy of the helpers and are
-compiled alone.  build() creates nothing outside the workdir.
+instrument.HELPER_SOURCE as pcaot_helpers.c into the driver's workdir; the
+driver's compile makes pcaot_helpers.o from it with -c next to the driver
+and links the driver with that object.  Capture programs carry their own
+static copy of the helpers and are compiled alone.  build() creates nothing
+outside the workdir.
 
-build() compiles each distinct source once per process; the helper object
-is one more entry of the same memo.  The memo is keyed by sha256 over
-(output name, source text, compiler_cmd, flags); the output name (driver,
-capture or pcaot_helpers.o) stands for the kind.  A hit still writes the
-source into the new workdir, then writes the output bytes kept from the
-first compile, with that compile's file mode, and calls no compiler.  The
-bytes live in memory, so a candidate that replaces its own ./driver or
+build() compiles each distinct source once per process; the helper object is
+one more entry of the same memo.  The memo is keyed by sha256 over (output
+name, source text, compiler_cmd, flags); the output name (driver, capture or
+pcaot_helpers.o) stands for the kind.  A hit still writes the source into
+the new workdir, then only the binary: the bytes kept from the first
+compile, with that compile's file mode; it calls no compiler.  The bytes
+live in memory, so a candidate that replaces its own ./driver or
 ./pcaot_helpers.o, or a deleted workdir, cannot change what a later hit gets
 or what a later driver links.  A CompileFailure is kept too, and each hit
-raises a new one with the same message and stderr.  Not kept: ToolMissing
-and a compile that exits 0 without writing its output.  The default flags
-put no path into the output, so a hit gives the bytes a compile would have
-given; flags such as -g would keep the first workdir's path in the debug
-info.
+raises a new one with the same message and stderr; a driver whose helper
+object failed keeps that failure.  Not kept: ToolMissing and a compile that
+exits 0 without writing its output.  The default flags put no path into the
+output, so a hit gives the bytes a compile would have given; flags such as
+-g would keep the first workdir's path in the debug info.
 
 Compiles run on a module-level pool with one thread per usable core.
 start_build() writes the sources into the workdir and queues their compiles
 without waiting; a replay driver's helper object is queued before the driver,
 whose compile waits for it.  build() is start_build(), then a wait until no
-compile is queued or running, whoever started it, then the write of its own
-outputs.  So a caller that starts every build of a batch first has the whole
+compile is queued or running, whoever started it, then the write of its
+binary.  So a caller that starts every build of a batch first has the whole
 batch compiled, on every core, inside its first build() call, and each later
 build() is a memo hit.  One workdir takes one source at a time.  A caller
 that can replace a source that fails passes start_build() an on_failure
@@ -116,8 +117,12 @@ class BuildSpec:
     workdir: Path = Path(".")
 
     def __post_init__(self) -> None:
+        if not isinstance(self.compiler_cmd, str):
+            raise ParseError("compiler_cmd must be a string")
         if "{src}" not in self.compiler_cmd or "{out}" not in self.compiler_cmd:
             raise ParseError("compiler_cmd must contain {src} and {out} placeholders")
+        if not (isinstance(self.flags, tuple) and all(isinstance(f, str) for f in self.flags)):
+            raise ParseError("flags must be a tuple of strings")
 
 
 @dataclass(frozen=True)
@@ -202,13 +207,13 @@ def _compile_kept(
     """Compile src_path into out_path; None when there is nothing to keep.
 
     A driver first gets its helper object, and is not compiled when that
-    object did not build: build() raises the helper's own failure.
+    object did not build: it keeps the helper's CompileFailure.
     """
     if helper is not None:
-        try:
-            _place(helper.result(), out_path.parent / _HELPER_OBJECT)
-        except PcaotError:
-            return None
+        kept = helper.result()
+        if isinstance(kept, CompileFailure):
+            return kept
+        _place(kept, out_path.parent / _HELPER_OBJECT)
     try:
         _compile(spec, src_path, out_path, extra)
     except CompileFailure as exc:
@@ -268,24 +273,21 @@ def _start(
     source: GeneratedSource,
     spec: BuildSpec,
     on_failure: Callable[[CompileFailure], None] | None = None,
-) -> list[tuple[Future, Path]]:
-    """start_build(); returns each output's future and path, the binary's last."""
+) -> tuple[Future, Path]:
+    """start_build(); returns the binary's future and path."""
     workdir = Path(spec.workdir).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
-    started: list[tuple[Future, Path]] = []
     extra: tuple[str, ...] = ()
     helper = None
     if source.kind is SourceKind.REPLAY_DRIVER:
         helper_path = workdir / _HELPER_OBJECT
         helper = _submit(HELPER_SOURCE, workdir / "pcaot_helpers.c", helper_path, spec, ("-c",))
-        started.append((helper, helper_path))
         extra = (str(helper_path),)
     out_path = workdir / source.kind.value
     binary = _submit(
         source.text, workdir / f"{source.kind.value}.c", out_path, spec, extra, helper, on_failure
     )
-    started.append((binary, out_path))
-    return started
+    return binary, out_path
 
 
 def wait_idle() -> None:
@@ -309,11 +311,12 @@ def start_build(
     source already built or queued in this process.  A later build() of the
     same source and spec waits for it and writes the binary.
 
-    When the compile this call queues fails, on_failure gets its
-    CompileFailure inside that compile's pool task, so any build it starts
-    is queued before the failed compile counts as done: wait_idle(), build()
-    and a timed run wait for those builds too.  Such a failure is not kept in
-    the memo.  on_failure is not called for a source found in the memo.
+    When the compile this call queues fails, or the helper object it would
+    link did, on_failure gets that CompileFailure inside this compile's pool
+    task, so any build it starts is queued before the failed compile counts
+    as done: wait_idle(), build() and a timed run wait for those builds too.
+    Such a failure is not kept in the memo.  on_failure is not called for a
+    source found in the memo.
     """
     _start(source, spec, on_failure)
 
@@ -321,22 +324,21 @@ def start_build(
 def build(source: GeneratedSource, spec: BuildSpec) -> Path:
     """Write the source into the workdir and compile it, once per distinct source.
 
-    A replay driver is first given pcaot_helpers.c and pcaot_helpers.o in
-    its workdir, and that object's path follows the formatted compiler_cmd,
-    before the flags, when the driver is linked.  A source already built in
-    this process with the same kind, compiler_cmd and flags is not compiled
-    again: the bytes and file mode of its first compile are written to the
-    workdir, or its CompileFailure is raised again (see the module
-    docstring).  Before it writes the binary, build() waits until no compile
-    is queued or running, whichever build() or start_build() queued it.
-    Returns the binary path; raises CompileFailure or ToolMissing, also when
-    the helper object does not compile.
+    A replay driver is first given pcaot_helpers.c in its workdir; when the
+    driver is compiled, pcaot_helpers.o is made next to it, and that object's
+    path follows the formatted compiler_cmd, before the flags.  A source already
+    built in this process with the same kind, compiler_cmd and flags is not
+    compiled again: the bytes and file mode of its first compile are written to
+    the workdir, or its CompileFailure is raised again (see the module
+    docstring).  Before it writes the binary, build() waits until no compile is
+    queued or running, whichever build() or start_build() queued it.  Returns
+    the binary path; raises CompileFailure or ToolMissing, also when the helper
+    object does not compile.
     """
-    started = _start(source, spec)
+    future, out_path = _start(source, spec)
     wait_idle()
-    for future, out_path in started:
-        _place(future.result(), out_path)
-    return started[-1][1]
+    _place(future.result(), out_path)
+    return out_path
 
 
 def run(

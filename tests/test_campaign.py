@@ -28,6 +28,7 @@ from pcaot.campaign import (
 )
 from pcaot.cli import main
 from pcaot.errors import ParseError
+from pcaot.instrument import SourceKind
 from pcaot.pattern import OutcomeCategory, ValidationStatus
 from pcaot.runner import BuildSpec, run
 from pcaot.sections import extract_sections
@@ -256,6 +257,16 @@ def test_load_campaign_config_rejects_garbage(tmp_path):
         {"llm_backends": [{"kind": "http", "tool_id": "h", "endpoint": "http://localhost:1",
                            "model": "m", "temperature": "0.2"}]},
         {"llm_backends": [{"kind": "mock", "tool_id": "m", "responses": [1]}]},
+        {"timeout_s": "10"},
+        {"timeout_s": 0},
+        {"timeout_s": True},
+        {"timeout_s": float("inf")},
+        {"timeout_s": float("nan")},
+        {"sections": [{"source": "a.c", "manifest": "a.json", "hand_optimized_ns": "fast"}]},
+        {"sections": [{"source": "a.c", "manifest": "a.json", "hand_optimized_ns": 0}]},
+        {"build": {"flags": "-O2"}},
+        {"build": {"flags": ["-O2", 3]}},
+        {"build": {"compiler_cmd": ["gcc", "{src}", "-o", "{out}"]}},
     ],
 )
 def test_load_campaign_config_rejects_malformed_entries(tmp_path, capsys, doc):
@@ -559,6 +570,42 @@ def test_output_that_is_not_utf8_is_not_a_crash(tmp_path):
     }
 
 
+# The right sum, then the candidate's own output checkpoint, whose one
+# record is named by two bytes that are not UTF-8, three timing lines of its
+# own and an exit before the driver writes anything.
+FORGED_CKPT = _summing(
+    "    {\n"
+    '        static const char forged[] = "PCAO\\1\\0\\0\\0\\1\\0\\0\\0\\2\\0\\377\\376";\n'
+    '        FILE *out = fopen("tiny.out.ckpt", "wb");\n'
+    "        int k;\n"
+    "        fwrite(forged, 1, sizeof forged - 1, out);\n"
+    "        fclose(out);\n"
+    '        for (k = 0; k < 3; k++) printf("PCAOT_TIME_NS 1\\n");\n'
+    "        exit(0);\n"
+    "    }\n"
+)
+
+
+@needs_gcc
+def test_a_checkpoint_name_that_is_not_utf8_is_not_a_crash(tmp_path):
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny": FORGED_CKPT}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=3,
+        threads=1,
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    statuses = {(r.tool, r.strategy): r.status for r in records}
+    assert statuses == {
+        ("serial", None): ValidationStatus.PASS,
+        ("mock", "IP"): ValidationStatus.RUNTIME_ERROR,
+    }
+    assert len((outdir / "records.jsonl").read_text().splitlines()) == 2
+
+
 @needs_gcc
 def test_each_version_generates_its_driver_once(tmp_path, monkeypatch):
     calls = []
@@ -605,6 +652,64 @@ def test_each_version_generates_its_driver_once(tmp_path, monkeypatch):
     second = execute(plan(config), config, outdir)
     assert calls == []
     assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+
+
+@needs_gcc
+def test_a_body_with_unbalanced_parentheses_gets_its_own_driver(tmp_path, monkeypatch):
+    calls = []
+    real_generate = campaign.generate_replay_driver
+
+    def counting_generate(bodies, *args, **kwargs):
+        calls.append(list(bodies))
+        return real_generate(bodies, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "generate_replay_driver", counting_generate)
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny/IP": GOOD, "tiny/CoT": GARBAGE}),),
+        strategies=(PromptStrategy.IP, PromptStrategy.COT),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    statuses = {(r.tool, r.strategy): r.status for r in records}
+    assert statuses == {
+        ("serial", None): ValidationStatus.PASS,
+        ("mock", "CoT"): ValidationStatus.COMPILE_ERROR,
+        ("mock", "IP"): ValidationStatus.PASS,
+    }
+    # GARBAGE never joins the section driver, so no section driver fails.
+    (serial,) = (s.body_text for s in extract_sections(SECTION_SOURCE, "tiny.c"))
+    assert calls == [[serial, extract_code(GOOD)], [extract_code(GARBAGE)]]
+
+
+@needs_gcc
+def test_each_driver_is_queued_once(tmp_path, monkeypatch):
+    queued = []
+    real_start_build = campaign.start_build
+
+    def recording_start_build(source, spec, on_failure=None):
+        if source.kind is SourceKind.REPLAY_DRIVER:
+            queued.append(source.text)
+        return real_start_build(source, spec, on_failure)
+
+    monkeypatch.setattr(campaign, "start_build", recording_start_build)
+    # Each strategy repeats itself; copyc hands back the serial code.
+    mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": SYNTAX})
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(mock,),
+        compiler_backends=(CompilerDriverConfig(tool_id="copyc", command="cp {src} {out}"),),
+        attempts=2,
+        timing_repeats=1,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    assert len(records) == 8
+    # The failed section driver, SYNTAX's own driver and the new section
+    # driver of the other three bodies, once each for 8 versions.
+    assert len(queued) == len(set(queued)) == 3
 
 
 @needs_gcc

@@ -24,6 +24,7 @@ from pcaot.checkpoint import (
     read_checkpoint_file,
     write_checkpoint_file,
 )
+from pcaot.errors import ParseError
 from pcaot.sections import StateManifest, VariableSpec
 
 TAGS = {"i8": 0, "i32": 1, "i64": 2, "f32": 3, "f64": 4}
@@ -90,6 +91,15 @@ def test_decode_rejects_unknown_tag():
     )
     with pytest.raises(UnknownTypeTag):
         decode(blob)
+
+
+def test_decode_rejects_a_name_that_is_not_utf8():
+    # Record 0 is named "a", record 1 by two bytes that are not UTF-8.
+    blob = b"PCAO" + struct.pack("<II", 1, 2)
+    for name in (b"a", b"\xff\xfe"):
+        blob += struct.pack("<H", len(name)) + name + bytes([TAGS["f64"], 0]) + bytes(8)
+    with pytest.raises(ParseError, match="record 1 name is not UTF-8"):
+        decode(blob + b"\xff")
 
 
 def test_decode_rejects_truncation_everywhere():

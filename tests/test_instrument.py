@@ -451,7 +451,13 @@ def test_bodies_named_in_reads_error_lines_only():
         ("x = 1; }", False),
         ("} x = 1; {", False),
         ("{ x = 1;", False),
-        ("for this will not compile at all (", True),
+        ("for this will not compile at all (", False),
+        ("x = f(a[i], (b));", True),
+        ("x = f(1;", False),
+        ("x = a[i;", False),
+        ("x = a[(i];", False),
+        ("x = f(1)); {", False),
+        ("x = ')' + \"[\"; /* ( */", True),
     ],
 )
 def test_can_share_driver(body, shares):

@@ -217,6 +217,9 @@ def test_identical_sources_compile_once(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     assert str(first).encode() in second.read_bytes()
     assert stat.S_IMODE(second.stat().st_mode) == 0o751
+    # Only the compile wrote the helper object it linked.
+    assert (tmp_path / "d0" / "pcaot_helpers.o").is_file()
+    assert not (tmp_path / "d1" / "pcaot_helpers.o").exists()
 
 
 def test_a_different_text_flags_compiler_or_kind_compiles_again(tmp_path):
