@@ -12,13 +12,14 @@ code of every version that needs a record, serial included, and queues its
 compile on runner's pool once, in the first of those versions' directories,
 for every section before the first capture runs.  Code that cannot share a
 driver, and code that gcc names in a failed section driver's errors, gets a
-driver of its own (_SectionDrivers).  One version loop then builds, runs and
-records each version with its driver, selecting its code through argv.
+driver of its own (_SectionDrivers).  A loop then captures each section and
+builds, runs and records its versions, selecting each one's code through argv.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
 
-    sections/<id>/capture/      instrumented program + reference checkpoints
+    sections/<id>/capture/      instrumented program + reference checkpoints,
+                                both made again by each run that validates
     sections/<id>/serial/       serial baseline driver scratch
     sections/<id>/candidates/<tool>__<strategy>__<attempt>/
                                 each version's driver.c (often its section's),
@@ -329,16 +330,6 @@ def _version_dir(outdir: Path, section_id: str, origin: Origin) -> Path:
     return sdir / "candidates" / f"{tool}__{strategy or 'na'}__{attempt or 0}"
 
 
-def _is_captured(capture_dir: Path, manifest: StateManifest) -> bool:
-    """Whether an earlier capture left its checkpoints and meta.json in capture_dir."""
-    sid = manifest.section_id
-    return (
-        (capture_dir / output_checkpoint_name(sid)).is_file()
-        and (not manifest.inputs or (capture_dir / input_checkpoint_name(sid)).is_file())
-        and (capture_dir / "meta.json").is_file()
-    )
-
-
 @dataclass(frozen=True)
 class _SectionContext:
     """Everything validation needs about one captured section."""
@@ -370,45 +361,43 @@ def _load_section(job: SectionJob) -> tuple[ExperimentalSection, StateManifest, 
 
 
 def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _SectionContext:
-    """Build and run the instrumented program; reuse artifacts when present.
+    """Build and run the instrumented program; its checkpoints become the reference.
 
-    Raises CaptureFailure on any failure along the way.
+    The section's checkpoints are deleted first, so only this run's can
+    become the reference.  Raises CaptureFailure on any failure along the
+    way, an OSError in the capture directory included.
     """
     section, manifest, source_text = _load_section(job)
     sid = manifest.section_id
     capture_dir = _capture_dir(outdir, sid)
     in_path = capture_dir / input_checkpoint_name(sid)
     out_path = capture_dir / output_checkpoint_name(sid)
-    meta_path = capture_dir / "meta.json"
     needs_input = bool(manifest.inputs)
 
-    if not _is_captured(capture_dir, manifest):
-        generated = generate_capture_program(source_text, section, manifest)
-        try:
-            binary = build(generated, replace(config.build, workdir=capture_dir))
-        except PcaotError as exc:
-            raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
-        try:
-            result = run(
-                binary,
-                timeout_s=config.timeout_s or CAPTURE_TIMEOUT_S,
-                env={"OMP_NUM_THREADS": str(config.threads)},
-            )
-        except SpawnFailure as exc:
-            raise CaptureFailure(f"capture run for {sid!r} did not start: {exc}") from exc
-        if result.timed_out:
-            raise CaptureFailure(f"capture run for {sid!r} timed out")
-        if result.exit_code != 0:
-            raise CaptureFailure(
-                f"capture run for {sid!r} exited with {result.exit_code}: "
-                f"{result.stderr.strip()[:400]}"
-            )
-        if not out_path.is_file() or (needs_input and not in_path.is_file()):
-            raise CaptureFailure(f"capture run for {sid!r} left no checkpoint files")
-        meta_path.write_text(
-            json.dumps({"wall_time_ns": result.wall_time_ns}) + "\n", encoding="utf-8"
+    generated = generate_capture_program(source_text, section, manifest)
+    try:
+        binary = build(generated, replace(config.build, workdir=capture_dir))
+        in_path.unlink(missing_ok=True)
+        out_path.unlink(missing_ok=True)
+    except (PcaotError, OSError) as exc:
+        raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
+    try:
+        result = run(
+            binary,
+            timeout_s=config.timeout_s or CAPTURE_TIMEOUT_S,
+            env={"OMP_NUM_THREADS": str(config.threads)},
         )
-    wall = int(json.loads(meta_path.read_text(encoding="utf-8"))["wall_time_ns"])
+    except SpawnFailure as exc:
+        raise CaptureFailure(f"capture run for {sid!r} did not start: {exc}") from exc
+    if result.timed_out:
+        raise CaptureFailure(f"capture run for {sid!r} timed out")
+    if result.exit_code != 0:
+        raise CaptureFailure(
+            f"capture run for {sid!r} exited with {result.exit_code}: "
+            f"{result.stderr.strip()[:400]}"
+        )
+    if not out_path.is_file() or (needs_input and not in_path.is_file()):
+        raise CaptureFailure(f"capture run for {sid!r} left no checkpoint files")
     try:
         reference = ckpt.read_checkpoint_file(out_path)
     except PcaotError as exc:
@@ -419,7 +408,7 @@ def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _S
         in_ckpt=in_path if needs_input else None,
         out_ckpt=out_path,
         reference=reference,
-        capture_wall_ns=wall,
+        capture_wall_ns=result.wall_time_ns,
     )
 
 
@@ -486,20 +475,33 @@ def produce_candidates(
     Rows already present in candidates.jsonl are not re-requested, so an
     interrupted campaign never repeats LLM calls.  Requests of every backend
     share one pool of config.max_inflight workers; rows are persisted in
-    plan order.
+    plan order.  Raises ParseError, before any backend is asked, when two
+    sections share an id or a sections/ directory (_safe_name).
     """
     outdir = _ensure_dir(outdir)
     experiment = experiment or plan(config)
+    loaded = []
+    dirs: dict[str, str] = {}
+    for job in experiment.jobs:
+        try:
+            section, manifest, _ = _load_section(job)
+        except CaptureFailure as exc:
+            log.warning("skipping candidate production: %s", exc)
+            continue
+        sid, name = manifest.section_id, _safe_name(manifest.section_id)
+        if name in dirs:
+            raise ParseError(
+                f"section {sid!r} is listed more than once"
+                if dirs[name] == sid
+                else f"sections {dirs[name]!r} and {sid!r} share sections/{name}/"
+            )
+        dirs[name] = sid
+        loaded.append((job, section, manifest))
     path = outdir / "candidates.jsonl"
     rows: dict[tuple, CandidateRow] = {r.key(): r for r in _load_jsonl(path, CandidateRow.from_dict)}
     backends = {b.tool_id: b for b in (*config.llm_backends, *config.compiler_backends)}
     with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
-        for job in experiment.jobs:
-            try:
-                section, manifest, _ = _load_section(job)
-            except CaptureFailure as exc:
-                log.warning("skipping candidate production: %s", exc)
-                continue
+        for job, section, manifest in loaded:
             missing = [
                 origin
                 for origin in experiment.candidate_origins
@@ -534,21 +536,26 @@ def _validate_code(
     The driver runs with argv, which selects the version's body, written to
     driver.args next to it.  A driver that is a PcaotError (it did not
     generate, or the code was rejected) is a CompileError, as is a failed
-    build.  Code with no OpenMP directive runs with OMP_PROC_BIND=false: a
-    driver that links libgomp would otherwise pin its one thread to one CPU.
+    build.  A scratch that cannot take the driver's files, driver.args or
+    the captured input (an OSError) is a RuntimeError, logged with the path.
+    Code with no OpenMP directive runs with OMP_PROC_BIND=false: a driver
+    that links libgomp would otherwise pin its one thread to one CPU.
     Returns (status, median_ns, run_wall_ns); run_wall_ns is None when the
     driver did not run."""
     try:
         if isinstance(driver, PcaotError):
             raise driver
         binary = build(driver, replace(config.build, workdir=scratch))
+        (scratch / "driver.args").write_text(" ".join(argv) + "\n", encoding="utf-8")
+        if ctx.in_ckpt is not None:
+            shutil.copyfile(ctx.in_ckpt, scratch / ctx.in_ckpt.name)
     except PcaotError as exc:
         detail = getattr(exc, "stderr", "") or str(exc)
         log.debug("candidate build failed in %s: %s", scratch.name, detail[:400])
         return (ValidationStatus.COMPILE_ERROR, None, None)
-    (scratch / "driver.args").write_text(" ".join(argv) + "\n", encoding="utf-8")
-    if ctx.in_ckpt is not None:
-        shutil.copyfile(ctx.in_ckpt, scratch / ctx.in_ckpt.name)
+    except OSError as exc:
+        log.warning("cannot prepare %s: %s", scratch, exc)
+        return (ValidationStatus.RUNTIME_ERROR, None, None)
     env = {"OMP_NUM_THREADS": str(config.threads)}
     if not (has_any_directive(code) or "_Pragma" in code):
         env["OMP_PROC_BIND"] = "false"
@@ -627,6 +634,9 @@ class _SectionDrivers:
     bodies gets a one-body driver.  These replacements are queued from the
     failed compile's pool task (runner.start_build's on_failure), so every
     compile is queued or done before a build or a timed run stops waiting.
+    A driver whose source cannot be written into its directory (an OSError)
+    is not queued: its bodies, when it has several, get one-body drivers,
+    and the versions of a body that has one retry in their own build().
     Each driver is queued once, in the directory of the first version that
     runs one of its bodies.  No lock is needed: all entries of a driver are
     written before its compile is queued, and a failure hook, on a pool
@@ -673,7 +683,14 @@ class _SectionDrivers:
         for k, body in enumerate(bodies):
             self._drivers[body] = (driver, () if alone else (str(k),))
         hook = None if alone else (lambda failure: self._failed(bodies, failure, split))
-        start_build(driver, replace(self._config.build, workdir=self._workdirs[bodies[0]]), hook)
+        workdir = self._workdirs[bodies[0]]
+        try:
+            start_build(driver, replace(self._config.build, workdir=workdir), hook)
+        except OSError as exc:
+            log.warning("cannot queue a replay driver in %s: %s", workdir, exc)
+            if not alone:
+                for body in bodies:
+                    self._start([body])
 
     def _failed(self, bodies: list[str], failure: CompileFailure, split: bool) -> None:
         # split (the first section driver): the named bodies go alone and the
@@ -693,22 +710,19 @@ def _queue_section(
     experiment: ExperimentPlan,
     rows: dict[tuple, CandidateRow],
     existing: dict[tuple, OutcomeRecord],
-) -> tuple[list[tuple[Origin, str | None, ReservedName | None]], _SectionDrivers]:
-    """Load a section, queue its compiles, and return its versions and drivers.
+) -> tuple[str, list[tuple[Origin, str | None, ReservedName | None]], _SectionDrivers]:
+    """Load a section, queue its compiles, and return its id, versions and drivers.
 
     Each version, serial first, is (origin, code, rejection).  rejection is
     the ReservedName error of candidate code that names a reserved
     identifier outside comments and strings; that code is neither generated
     nor built.  The body of every other version with code and no record is
-    queued in the section's drivers.  The capture is queued unless already
-    captured.  Raises CaptureFailure when the section does not load.
+    queued in the section's drivers, and the capture when any version has
+    no record.  Raises CaptureFailure when the section does not load or its
+    capture cannot be queued.
     """
     section, manifest, source_text = _load_section(job)
     sid = manifest.section_id
-    capture_dir = _capture_dir(outdir, sid)
-    if not _is_captured(capture_dir, manifest):
-        capture = generate_capture_program(source_text, section, manifest)
-        start_build(capture, replace(config.build, workdir=capture_dir))
     versions = []
     workdirs: dict[str, Path] = {}
     for origin in (Origin(tool_id=SERIAL_TOOL_ID), *experiment.candidate_origins):
@@ -724,9 +738,15 @@ def _queue_section(
             except ReservedName as exc:
                 rejection = exc
         versions.append((origin, code, rejection))
+    if any(_key(sid, origin) not in existing for origin, _, _ in versions):
+        capture = generate_capture_program(source_text, section, manifest)
+        try:
+            start_build(capture, replace(config.build, workdir=_capture_dir(outdir, sid)))
+        except OSError as exc:
+            raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
     drivers = _SectionDrivers(manifest, config, job.support_code)
     drivers.queue(workdirs)
-    return versions, drivers
+    return sid, versions, drivers
 
 
 def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
@@ -734,12 +754,13 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
 
     Once the candidates exist, every section is queued (_queue_section), so
     the first build() call waits for every compile, replacements of failed
-    section drivers included, and later ones are memo hits.  Sections whose
-    reference capture fails are skipped (and logged); all other failures
-    become per-version statuses.  Returns records in deterministic order:
-    sections in plan order, the serial baseline first, then candidates by
-    (tool, strategy, attempt).  Existing records.jsonl rows are reused, new
-    ones appended.
+    section drivers included, and later ones are memo hits.  A section is
+    captured afresh just before its versions run, and not at all when every
+    version has a record.  Sections whose reference capture fails are
+    skipped (and logged); all other failures become per-version statuses.
+    Returns records in deterministic order: sections in plan order, the
+    serial baseline first, then candidates by (tool, strategy, attempt).
+    Existing records.jsonl rows are reused, new ones appended.
     """
     if not experiment.jobs:
         raise EmptyCampaign("experiment plan lists no sections")
@@ -756,18 +777,20 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
             log.warning("section skipped: %s", exc)
     records: list[OutcomeRecord] = []
 
-    for job, versions, drivers in queued:
+    for job, sid, versions, drivers in queued:
+        recorded = [existing.get(_key(sid, origin)) for origin, _, _ in versions]
+        if None not in recorded:
+            records.extend(recorded)
+            continue
         try:
             ctx = capture_section(job, config, outdir)
         except CaptureFailure as exc:
             log.warning("section skipped: %s", exc)
             continue
-        sid = ctx.manifest.section_id
         serial_median = None
         timeout_s = _candidate_timeout(config, ctx.capture_wall_ns)
-        for origin, code, rejection in versions:
+        for (origin, code, rejection), record in zip(versions, recorded):
             is_serial = origin.tool_id == SERIAL_TOOL_ID
-            record = existing.get(_key(sid, origin))
             if record is None:
                 status, median, wall = ValidationStatus.EXTRACTION_ERROR, None, None
                 if code is not None:

@@ -1095,6 +1095,170 @@ def test_resume_gives_candidates_the_fresh_timeout(tmp_path, monkeypatch):
     assert timeouts[1] == timeouts[0]
 
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _sample_config(responses):
+    """samples/campaign.json, with responses added to its mock LLM's table."""
+    config = load_campaign_config(SAMPLES / "campaign.json")
+    (mock,) = config.llm_backends
+    mock = replace(mock, responses={**mock.responses, **responses})
+    return replace(config, llm_backends=(mock,))
+
+
+def _vecscale_then(statement):
+    # vecscale's own loop, then statement.  The CoT version of vecscale, the
+    # first section, runs in sections/vecscale/candidates/mockllm__CoT__1.
+    return (
+        "```c\n    for (i = 0; i < 100000; i++) {\n        a[i] = scale * b[i] + 1.0;\n    }\n"
+        f"    {statement}\n```"
+    )
+
+
+def _drop_record(outdir, section_id, tool, strategy):
+    """Delete one version's row from records.jsonl, as if the run had stopped before it."""
+    path = outdir / "records.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    key = (section_id, tool, strategy)
+    kept = [r for r in rows if (r["section_id"], r["tool"], r["strategy"]) != key]
+    assert len(kept) == len(rows) - 1
+    path.write_text("".join(json.dumps(r) + "\n" for r in kept))
+
+
+@needs_gcc
+@pytest.mark.parametrize("planted", ["vecscale.in.ckpt", "driver.c"])
+def test_a_path_planted_in_another_version_is_not_a_crash(tmp_path, caplog, planted):
+    # The CoT candidate makes a directory of a file that a later version of
+    # its section writes: its captured input or its driver source.
+    statement = f'(void)system("mkdir -p ../mockllm__IP__1/{planted}");'
+    config = _sample_config({"vecscale/CoT": _vecscale_then(statement)})
+    outdir = tmp_path / "out"
+    target = outdir / "sections" / "vecscale" / "candidates" / "mockllm__IP__1" / planted
+    for attempt in ("run", "resume"):
+        if attempt == "resume":
+            # That version is validated again: its driver is queued in its directory now.
+            _drop_record(outdir, "vecscale", "mockllm", "IP")
+        records = execute(plan(config), config, outdir)
+        assert target.is_dir()
+        assert len(records) == len((outdir / "records.jsonl").read_text().splitlines()) == 15
+        (ip,) = (r for r in records if (r.section_id, r.strategy) == ("vecscale", "IP"))
+        assert ip.status is not ValidationStatus.PASS, attempt
+        assert str(target) in caplog.text
+        caplog.clear()
+
+
+@needs_gcc
+def test_a_section_driver_that_cannot_be_queued_falls_back_to_one_body_drivers(tmp_path, caplog):
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": SYNTAX}),),
+        strategies=(PromptStrategy.IP, PromptStrategy.DIP),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    outdir = tmp_path / "out"
+    execute(plan(config), config, outdir)
+    # The section driver of a resume goes to serial/, the first version's directory.
+    planted = outdir / "sections" / "tiny" / "serial" / "driver.c"
+    planted.unlink()
+    planted.mkdir()
+    (outdir / "records.jsonl").unlink()
+    records = execute(plan(config), config, outdir)
+    assert {(r.tool, r.strategy): r.status for r in records} == {
+        ("serial", None): ValidationStatus.RUNTIME_ERROR,
+        ("mock", "DIP"): ValidationStatus.COMPILE_ERROR,
+        ("mock", "IP"): ValidationStatus.PASS,
+    }
+    assert str(planted) in caplog.text
+
+
+@needs_gcc
+def test_a_write_into_another_sections_capture_is_not_a_crash(tmp_path):
+    # Garbage meta.json and empty checkpoints in sumsqrt's capture directory,
+    # written before sumsqrt, the second section, is captured.
+    statement = (
+        '(void)system("mkdir -p ../../../sumsqrt/capture && cd ../../../sumsqrt/capture'
+        ' && echo x > meta.json && : > sumsqrt.in.ckpt && : > sumsqrt.out.ckpt");'
+    )
+    config = _sample_config({"vecscale/CoT": _vecscale_then(statement)})
+    outdir = tmp_path / "out"
+    first = execute(plan(config), config, outdir)
+    assert (outdir / "sections" / "sumsqrt" / "capture" / "meta.json").read_text() == "x\n"
+    assert len(first) == 15
+    assert all(r.status is ValidationStatus.PASS for r in first if r.section_id == "sumsqrt")
+    second = execute(plan(config), config, outdir)
+    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+
+
+@needs_gcc
+def test_a_resume_compares_against_a_fresh_capture(tmp_path):
+    config = _sample_config({})
+    outdir = tmp_path / "out"
+    execute(plan(config), config, outdir)
+    # A valid checkpoint that is no longer the section's reference.
+    path = outdir / "sections" / "vecscale" / "capture" / "vecscale.out.ckpt"
+    reference = campaign.ckpt.read_checkpoint_file(path)
+    values = reference.record("a").values().copy()
+    values[0] += 1.0
+    stale = campaign.ckpt.Checkpoint(
+        records=tuple(
+            campaign.ckpt.VarRecord.from_values("a", "f64", values) if r.name == "a" else r
+            for r in reference.records
+        )
+    )
+    campaign.ckpt.write_checkpoint_file(path, stale)
+    _drop_record(outdir, "vecscale", "mockllm", "IP")
+    records = execute(plan(config), config, outdir)
+    (ip,) = (r for r in records if (r.section_id, r.strategy) == ("vecscale", "IP"))
+    assert ip.status is ValidationStatus.PASS
+    assert path.read_bytes() == campaign.ckpt.encode(reference)
+
+
+@needs_gcc
+@pytest.mark.parametrize("planted", ["sumsqrt.out.ckpt", "capture.c"])
+def test_a_directory_planted_in_another_sections_capture_skips_it(tmp_path, caplog, planted):
+    statement = (
+        f'(void)system("cd ../../../sumsqrt/capture && rm -f {planted} && mkdir {planted}");'
+    )
+    config = _sample_config({"vecscale/CoT": _vecscale_then(statement)})
+    outdir = tmp_path / "out"
+    target = outdir / "sections" / "sumsqrt" / "capture" / planted
+    for attempt in ("run", "resume"):
+        records = execute(plan(config), config, outdir)
+        assert target.is_dir()
+        # sumsqrt is skipped, and the log says why; the other two sections are validated.
+        assert [r.section_id for r in records] == ["vecscale"] * 5 + ["chain_dp"] * 5, attempt
+        assert "section skipped: capture build failed for 'sumsqrt'" in caplog.text
+        assert str(target) in caplog.text
+        caplog.clear()
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (("tiny", "tiny"), "section 'tiny' is listed more than once"),
+        (("t:1", "t_1"), "sections 't:1' and 't_1' share sections/t_1/"),
+    ],
+    ids=["repeated", "same_directory"],
+)
+def test_sections_that_share_a_directory_are_rejected_before_any_request(tmp_path, ids, message):
+    jobs = []
+    for k, sid in enumerate(ids):
+        (tmp_path / f"s{k}.c").write_text(SECTION_SOURCE.replace("id=tiny", f"id={sid}"))
+        (tmp_path / f"s{k}.json").write_text(json.dumps({**SECTION_MANIFEST, "section_id": sid}))
+        jobs.append(
+            SectionJob(source_path=tmp_path / f"s{k}.c", manifest_path=tmp_path / f"s{k}.json")
+        )
+    mock = CountingMock("mock", {})
+    config = CampaignConfig(sections=tuple(jobs), llm_backends=(mock,), attempts=1)
+    with pytest.raises(ParseError) as info:
+        execute(plan(config), config, tmp_path / "out")
+    assert str(info.value) == message
+    assert mock.calls == []
+    assert not (tmp_path / "out" / "candidates.jsonl").exists()
+
+
 def test_produce_candidates_without_sources_skips(tmp_path):
     config = CampaignConfig(sections=(_job(tmp_path),), llm_backends=(_mock(),))
     rows = produce_candidates(config, tmp_path / "out")
