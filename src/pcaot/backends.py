@@ -17,7 +17,6 @@ import os
 import re
 import shlex
 import subprocess
-import tempfile
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -335,56 +334,51 @@ def request_compiler(
     driver: CompilerDriverConfig,
     manifest: StateManifest,
     support_code: str = "",
-    workdir: Path | None = None,
+    *,
+    workdir: Path,
 ) -> CandidateVersion:
     """Run a compiler backend over the wrapped section and re-extract it.
 
-    Raises ToolMissing, ToolFailure (nonzero exit) or OutputMissing (no
-    output file, or output without an intact section fence).  Output that
-    is not UTF-8 is decoded with replacement characters.
+    The wrapped section is written to workdir/input.c (made if missing),
+    and the backend runs in workdir, where its files stay.  Raises
+    ToolMissing, ToolFailure (nonzero exit) or OutputMissing (no output
+    file, or output without an intact section fence).  Output that is not
+    UTF-8 is decoded with replacement characters.
     """
-    created: tempfile.TemporaryDirectory | None = None
-    if workdir is None:
-        created = tempfile.TemporaryDirectory(prefix="pcaot-compiler-")
-        workdir = Path(created.name)
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    fills = _template_fills(workdir)
+    Path(fills["src"]).write_text(
+        wrap_section(request.section_code, manifest, support_code), encoding="utf-8"
+    )
+    command = shlex.split(driver.command.format(**fills))
     try:
-        workdir = Path(workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-        fills = _template_fills(workdir)
-        Path(fills["src"]).write_text(
-            wrap_section(request.section_code, manifest, support_code), encoding="utf-8"
+        proc = subprocess.run(
+            command,
+            cwd=workdir,
+            capture_output=True,
+            text=True,
+            errors="replace",
+            check=False,
         )
-        command = shlex.split(driver.command.format(**fills))
-        try:
-            proc = subprocess.run(
-                command,
-                cwd=workdir,
-                capture_output=True,
-                text=True,
-                errors="replace",
-                check=False,
-            )
-        except FileNotFoundError as exc:
-            raise ToolMissing(f"compiler backend not found: {command[0]!r}") from exc
-        if proc.returncode != 0:
-            raise ToolFailure(
-                f"{driver.tool_id} exited with code {proc.returncode}", stderr=proc.stderr
-            )
-        produced = Path(driver.output_path.format(**fills))
-        if not produced.is_file():
-            raise OutputMissing(f"{driver.tool_id} produced no output at {produced}")
-        text = produced.read_text(encoding="utf-8", errors="replace")
-        try:
-            found = extract_sections(text, str(produced))
-        except PcaotError as exc:
-            raise OutputMissing(f"{driver.tool_id} output has broken section fences: {exc}") from exc
-        match = [s for s in found if s.id == manifest.section_id] or found
-        if not match:
-            raise OutputMissing(f"{driver.tool_id} output carries no experimental section")
-        return CandidateVersion(origin=Origin(tool_id=driver.tool_id), code=match[0].body_text)
-    finally:
-        if created is not None:
-            created.cleanup()
+    except FileNotFoundError as exc:
+        raise ToolMissing(f"compiler backend not found: {command[0]!r}") from exc
+    if proc.returncode != 0:
+        raise ToolFailure(
+            f"{driver.tool_id} exited with code {proc.returncode}", stderr=proc.stderr
+        )
+    produced = Path(driver.output_path.format(**fills))
+    if not produced.is_file():
+        raise OutputMissing(f"{driver.tool_id} produced no output at {produced}")
+    text = produced.read_text(encoding="utf-8", errors="replace")
+    try:
+        found = extract_sections(text, str(produced))
+    except PcaotError as exc:
+        raise OutputMissing(f"{driver.tool_id} output has broken section fences: {exc}") from exc
+    match = [s for s in found if s.id == manifest.section_id] or found
+    if not match:
+        raise OutputMissing(f"{driver.tool_id} output carries no experimental section")
+    return CandidateVersion(origin=Origin(tool_id=driver.tool_id), code=match[0].body_text)
 
 
 @dataclass(frozen=True)

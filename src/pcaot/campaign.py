@@ -23,8 +23,12 @@ subcommands and by run):
     sections/<id>/serial/       serial baseline driver scratch
     sections/<id>/candidates/<tool>__<strategy>__<attempt>/
                                 each version's driver.c (often its section's),
-                                driver, and driver.args, the argv that runs
-                                the version's code: ./driver $(cat driver.args)
+                                driver, and driver.args, the body number that
+                                runs the version's code: ./driver $(cat driver.args)
+    sections/<id>/candidates/<tool>__na__0/compiler/
+                                a compiler backend's input.c (the wrapped
+                                section) and the files it wrote, such as
+                                transformed.c
     pcaot_helpers.c             checkpoint helpers every driver.c links with;
                                 compile the two together to rebuild a driver
     candidates.jsonl            produced candidate code + raw responses
@@ -422,14 +426,23 @@ class CandidateRow(_Row):
 
 
 def _load_jsonl(path: Path, parse) -> list:
+    """The rows parse builds from the lines of a JSONL file.
+
+    Candidates can write to the file, so a line that is not UTF-8 JSON, or
+    that parse cannot build a row from, is logged and skipped: its version
+    is produced or validated again.
+    """
     if not path.is_file():
         return []
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(parse(json.loads(line)))
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(parse(json.loads(line.decode("utf-8"))))
+            except (ValueError, TypeError, KeyError, RecursionError) as exc:
+                log.warning("%s:%d: skipping a row that does not parse: %s", path, number, exc)
     return rows
 
 
@@ -445,6 +458,7 @@ def _produce_one(
     section: ExperimentalSection,
     manifest: StateManifest,
     job: SectionJob,
+    outdir: Path,
 ) -> CandidateRow:
     row = CandidateRow(*_key(manifest.section_id, origin), code=None)
     request = OptimizationRequest(
@@ -460,7 +474,13 @@ def _produce_one(
                 request, backend.params, backend.endpoint, tool_id=backend.tool_id
             )
         else:
-            candidate = request_compiler(request, backend, manifest, job.support_code)
+            candidate = request_compiler(
+                request,
+                backend,
+                manifest,
+                job.support_code,
+                workdir=_version_dir(outdir, manifest.section_id, origin) / "compiler",
+            )
     except PcaotError as exc:
         log.warning("candidate %s/%s failed: %s", manifest.section_id, origin.tool_id, exc)
         return replace(row, error=str(exc))
@@ -508,7 +528,8 @@ def produce_candidates(
                 if _key(manifest.section_id, origin) not in rows
             ]
             produced = pool.map(
-                lambda o: _produce_one(o, backends[o.tool_id], section, manifest, job), missing
+                lambda o: _produce_one(o, backends[o.tool_id], section, manifest, job, outdir),
+                missing,
             )
             for row in produced:
                 rows[row.key()] = row
@@ -681,7 +702,7 @@ class _SectionDrivers:
             return
         alone = len(bodies) == 1
         for k, body in enumerate(bodies):
-            self._drivers[body] = (driver, () if alone else (str(k),))
+            self._drivers[body] = (driver, (str(k),))
         hook = None if alone else (lambda failure: self._failed(bodies, failure, split))
         workdir = self._workdirs[bodies[0]]
         try:

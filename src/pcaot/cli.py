@@ -7,9 +7,9 @@ optimize, validate, report) with identical results:
     pcaot prepare  --src FILE --manifest FILE [--json]
     pcaot capture  --config FILE --out DIR [--section ID]
     pcaot optimize --config FILE --out DIR
-    pcaot validate --config FILE --out DIR [--section ID] [overrides]
+    pcaot validate --config FILE --out DIR [--section ID] [--json]
     pcaot report   --config FILE --out DIR
-    pcaot run      --config FILE --out DIR [--dry-run] [overrides] [--json]
+    pcaot run      --config FILE --out DIR [--section ID] [--dry-run] [--json]
 
 Progress and diagnostics go to stderr; results go to stdout.  Exit codes:
 0 success, 1 campaign completed with failures (or a pipeline error),
@@ -41,7 +41,6 @@ from .campaign import (
     plan,
     produce_candidates,
 )
-from .checkpoint import Tolerance
 from .errors import PcaotError, UsageError
 from .pattern import ValidationStatus
 
@@ -74,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="validate and time all candidates")
     campaign_args(validate, with_section=True)
-    validate.add_argument("--tolerance-rel", type=float, help="override relative tolerance")
-    validate.add_argument("--threads", type=int, help="override OMP_NUM_THREADS")
     validate.add_argument("--json", action="store_true", help="machine-readable output")
 
     report = sub.add_parser("report", help="aggregate records and write reports")
@@ -83,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run the whole campaign end to end")
     campaign_args(run_p, with_section=True)
-    run_p.add_argument("--tolerance-rel", type=float, help="override relative tolerance")
-    run_p.add_argument("--threads", type=int, help="override OMP_NUM_THREADS")
     run_p.add_argument("--dry-run", action="store_true", help="print the plan and exit")
     run_p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -93,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> CampaignConfig:
     config = load_campaign_config(args.config)
-    if getattr(args, "tolerance_rel", None) is not None:
-        config = replace(config, tolerance=Tolerance(config.tolerance.abs, args.tolerance_rel))
-    if getattr(args, "threads", None) is not None:
-        config = replace(config, threads=args.threads)
     section = getattr(args, "section", None)
     if section is not None:
         keep = [job for job in config.sections if _job_section_id(job) == section]

@@ -15,15 +15,15 @@ version.  The generators:
   dumps the section's live-in state right after the start pragma and its
   live-out state right before the stop pragma.  The rewrite only inserts
   lines; every original line survives byte-identical.
-* generate_replay_driver wraps a section body (original or candidate) in a
-  fresh main() that redeclares the manifest variables, reloads the captured
-  input before each timed repeat, times the body alone with a monotonic
+* generate_replay_driver wraps one or more section bodies (original or
+  candidate) of one section in a fresh main() that redeclares the manifest
+  variables, reloads the captured input before each timed repeat, times the
+  body that argv[1] numbers (body 0 with no argument) alone with a monotonic
   clock, prints one "PCAOT_TIME_NS <n>" line per repeat and writes the
-  resulting output checkpoint.  Given several bodies of one section, it
-  puts each in a static function of its own, pcaot_body_<k>, behind a
-  #line marker that makes gcc name the body in its errors (bodies_named_in),
-  and main() runs the body that argv[1] numbers.  can_share_driver says
-  which bodies can go in such a driver.
+  resulting output checkpoint.  Each body sits inside do { } while (0)
+  between its own two clock reads, behind a #line marker that makes gcc
+  name the body in its errors (bodies_named_in).  can_share_driver says
+  which bodies can go in a driver with others.
 
 Arrays above 64 KiB are heap-allocated in drivers so large sections do not
 blow the stack; smaller ones keep plain array declarations.
@@ -43,7 +43,7 @@ from .sections import ExperimentalSection, StateManifest, VariableSpec, extract_
 
 STACK_ARRAY_LIMIT = 64 * 1024
 TIMING_LINE_PREFIX = "PCAOT_TIME_NS"
-# Body k of a driver of several bodies is the function pcaot_body_<k>.
+# Body k of a replay driver is, to gcc, the file pcaot_body_<k>.c (its #line marker).
 BODY_PREFIX = "pcaot_body_"
 
 C_TYPES = {"i8": "int8_t", "i32": "int32_t", "i64": "int64_t", "f32": "float", "f64": "double"}
@@ -327,56 +327,6 @@ def _zero_lines(var: VariableSpec) -> list[str]:
     return [f"        memset((void *)({var.name}), 0, {var.byte_size}ull);"]
 
 
-def _body_function_lines(
-    section_body: str, manifest: StateManifest, timing_repeats: int
-) -> list[str]:
-    """What a one-body driver's main() holds: declarations, timed repeats, outputs."""
-    sid = manifest.section_id
-    lines: list[str] = []
-    for var in manifest.variables:
-        lines.extend(_declaration_lines(var))
-    lines.append(f"    long long pcaot_ns[{timing_repeats}];")
-    lines.append("    int pcaot_rep;")
-    lines.append(f"    for (pcaot_rep = 0; pcaot_rep < {timing_repeats}; pcaot_rep++) {{")
-    if manifest.inputs:
-        lines.append(
-            f"        {{ /* pcaot: reload input state */"
-        )
-        lines.append(
-            f"            FILE *pcaot_f = pcaot_ckpt_open(\"{input_checkpoint_name(sid)}\", "
-            f"{len(manifest.inputs)}u);"
-        )
-        for var in manifest.inputs:
-            lines.extend(_ckpt_call_lines("pcaot_ckpt_get", "void *", var, "            "))
-        lines.append("            pcaot_ckpt_close(pcaot_f);")
-        lines.append("        }")
-    pure_out = tuple(v for v in manifest.variables if v.direction == "out")
-    for var in pure_out:
-        lines.extend(_zero_lines(var))
-    lines.append("        {")
-    lines.append("            struct timespec pcaot_t0, pcaot_t1;")
-    lines.append("            clock_gettime(CLOCK_MONOTONIC, &pcaot_t0);")
-    lines.append("            { /* pcaot: section body */")
-    lines.append(section_body)
-    lines.append("            } /* pcaot: end section body */")
-    lines.append("            clock_gettime(CLOCK_MONOTONIC, &pcaot_t1);")
-    lines.append(
-        "            pcaot_ns[pcaot_rep] = (long long)(pcaot_t1.tv_sec - pcaot_t0.tv_sec) "
-        "* 1000000000LL + (long long)(pcaot_t1.tv_nsec - pcaot_t0.tv_nsec);"
-    )
-    lines.append("        }")
-    lines.append("    }")
-    lines.extend(_dump_block(manifest.outputs, output_checkpoint_name(sid), "output", "    "))
-    lines.append(f"    for (pcaot_rep = 0; pcaot_rep < {timing_repeats}; pcaot_rep++) {{")
-    lines.append(f"        printf(\"{TIMING_LINE_PREFIX} %lld\\n\", pcaot_ns[pcaot_rep]);")
-    lines.append("    }")
-    for var in manifest.variables:
-        if not var.is_scalar and var.byte_size > STACK_ARRAY_LIMIT:
-            lines.append(f"    free((void *)({var.name}));")
-    lines.append("    return 0;")
-    return lines
-
-
 def generate_replay_driver(
     section_body: str | Sequence[str],
     manifest: StateManifest,
@@ -393,13 +343,13 @@ def generate_replay_driver(
     helper functions.  The checkpoint helpers are only declared; link the
     object compiled from HELPER_SOURCE (runner.build does).
 
-    Given one body (a string), the driver's main() holds all of that and
-    ignores argv.  Given a sequence of bodies, body k goes in its own
-    static int pcaot_body_<k>(void), which holds what main() would, after a
-    #line 1 "pcaot_body_<k>.c" marker so that gcc names the body in its
-    diagnostics (bodies_named_in); main(argc, argv) runs the body whose
-    number is argv[1] and exits 3 on any other argv.  A one-element
-    sequence gives the one-body driver.  Only bodies that can_share_driver
+    A string is a sequence of one body.  main(pcaot_argc, pcaot_argv)
+    declares the manifest variables once, runs the body whose number is
+    argv[1] (body 0 with no argument) and exits 3 on any other argv.  Body
+    k sits between its own two clock reads, inside do { } while (0), so a
+    top-level break or continue ends the body and not the repeat, after a
+    #line 1 "pcaot_body_<k>.c" marker that makes gcc name the body in its
+    diagnostics (bodies_named_in).  Only bodies that can_share_driver
     accepts belong in a driver with others.
     """
     bodies = [section_body] if isinstance(section_body, str) else list(section_body)
@@ -409,6 +359,7 @@ def generate_replay_driver(
         raise ValueError("timing_repeats must be at least 1")
     for var in manifest.variables:
         _ctype(var)
+    sid = manifest.section_id
 
     lines: list[str] = [
         "#define _POSIX_C_SOURCE 200809L",
@@ -419,34 +370,66 @@ def generate_replay_driver(
     if support_code.strip():
         lines.append(support_code.rstrip("\n"))
     lines.append("")
-    if len(bodies) == 1:
-        lines.append("int main(void) {")
-        lines.extend(_body_function_lines(bodies[0], manifest, timing_repeats))
-        lines.append("}")
-    else:
-        lines.extend(f"static int {BODY_PREFIX}{k}(void);" for k in range(len(bodies)))
-        lines.append("")
-        lines.append("int main(int argc, char **argv) {")
-        lines.append('    const char *pcaot_which = argc == 2 ? argv[1] : "";')
-        lines.extend(
-            f'    if (strcmp(pcaot_which, "{k}") == 0) return {BODY_PREFIX}{k}();'
-            for k in range(len(bodies))
+    lines.append("int main(int pcaot_argc, char **pcaot_argv) {")
+    for var in manifest.variables:
+        lines.extend(_declaration_lines(var))
+    lines.append(f"    long long pcaot_ns[{timing_repeats}];")
+    lines.append("    struct timespec pcaot_t0 = {0, 0}, pcaot_t1 = {0, 0};")
+    lines.append("    int pcaot_rep, pcaot_which = -1;")
+    lines.append(
+        '    const char *pcaot_arg = pcaot_argc == 1 ? "0" : pcaot_argc == 2 ? pcaot_argv[1] : "";'
+    )
+    lines.extend(
+        f'    if (strcmp(pcaot_arg, "{k}") == 0) pcaot_which = {k};' for k in range(len(bodies))
+    )
+    lines.append(
+        f'    if (pcaot_which < 0) pcaot_die("run as: ./driver N, with N from 0 to {len(bodies) - 1}");'
+    )
+    lines.append(f"    for (pcaot_rep = 0; pcaot_rep < {timing_repeats}; pcaot_rep++) {{")
+    if manifest.inputs:
+        lines.append("        { /* pcaot: reload input state */")
+        lines.append(
+            f"            FILE *pcaot_f = pcaot_ckpt_open(\"{input_checkpoint_name(sid)}\", "
+            f"{len(manifest.inputs)}u);"
         )
-        lines.append(f'    pcaot_die("run as: ./driver N, with N from 0 to {len(bodies) - 1}");')
-        lines.append("    return 3;")
-        lines.append("}")
-        for k, body in enumerate(bodies):
-            lines.append(f'#line 1 "{BODY_PREFIX}{k}.c"')
-            lines.append(f"static int {BODY_PREFIX}{k}(void) {{")
-            lines.extend(_body_function_lines(body, manifest, timing_repeats))
-            lines.append("}")
+        for var in manifest.inputs:
+            lines.extend(_ckpt_call_lines("pcaot_ckpt_get", "void *", var, "            "))
+        lines.append("            pcaot_ckpt_close(pcaot_f);")
+        lines.append("        }")
+    for var in manifest.variables:
+        if var.direction == "out":
+            lines.extend(_zero_lines(var))
+    for k, body in enumerate(bodies):
+        lines.append(f"        if (pcaot_which == {k}) {{")
+        lines.append("            clock_gettime(CLOCK_MONOTONIC, &pcaot_t0);")
+        lines.append(f'#line 1 "{BODY_PREFIX}{k}.c"')
+        lines.append("            do { /* pcaot: section body */")
+        lines.append(body)
+        lines.append("            } while (0); /* pcaot: end section body */")
+        lines.append("            clock_gettime(CLOCK_MONOTONIC, &pcaot_t1);")
+        lines.append("        }")
+    lines.append(
+        "        pcaot_ns[pcaot_rep] = (long long)(pcaot_t1.tv_sec - pcaot_t0.tv_sec) "
+        "* 1000000000LL + (long long)(pcaot_t1.tv_nsec - pcaot_t0.tv_nsec);"
+    )
+    lines.append("    }")
+    lines.extend(_dump_block(manifest.outputs, output_checkpoint_name(sid), "output", "    "))
+    lines.append(f"    for (pcaot_rep = 0; pcaot_rep < {timing_repeats}; pcaot_rep++) {{")
+    lines.append(f"        printf(\"{TIMING_LINE_PREFIX} %lld\\n\", pcaot_ns[pcaot_rep]);")
+    lines.append("    }")
+    for var in manifest.variables:
+        if not var.is_scalar and var.byte_size > STACK_ARRAY_LIMIT:
+            lines.append(f"    free((void *)({var.name}));")
+    lines.append("    return 0;")
+    lines.append("}")
     return GeneratedSource(
-        kind=SourceKind.REPLAY_DRIVER, section_id=manifest.section_id, text="\n".join(lines) + "\n"
+        kind=SourceKind.REPLAY_DRIVER, section_id=sid, text="\n".join(lines) + "\n"
     )
 
 
 # A preprocessor line that is not "#pragma omp ...", once comments and strings are blanked.
 _FOREIGN_DIRECTIVE_RE = re.compile(r"^[ \t]*#(?![ \t]*pragma[ \t]+omp\b)", re.MULTILINE)
+_GOTO_RE = re.compile(r"\bgoto\b")
 # Each closing bracket and the opening bracket it must match.
 _OPENING = {"}": "{", ")": "(", "]": "["}
 
@@ -456,12 +439,13 @@ def can_share_driver(section_body: str) -> bool:
 
     Not when, once comments and strings are blanked, it has a preprocessor
     line other than #pragma omp or uses _Pragma, whose effect would reach
-    the bodies after it, or its braces, parentheses and brackets do not
-    nest and balance, so that it would not stay inside its own function, or
+    the bodies after it; uses goto, which could reach a label of another
+    body in the same main(); or its braces, parentheses and brackets do not
+    nest and balance, so that it would not stay inside its own block, or
     gcc would report its errors in the bodies after it.
     """
     code = _strip_comments_and_strings(section_body)
-    if _FOREIGN_DIRECTIVE_RE.search(code) or "_Pragma" in code:
+    if _FOREIGN_DIRECTIVE_RE.search(code) or "_Pragma" in code or _GOTO_RE.search(code):
         return False
     opened: list[str] = []
     for char in code:

@@ -4,6 +4,7 @@ import os
 import shutil
 import stat
 import subprocess
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -422,6 +423,48 @@ def test_execute_resume_skips_done_work(tmp_path):
 
 
 @needs_gcc
+def test_lines_that_do_not_parse_are_skipped_on_resume(tmp_path, caplog):
+    _write_section(tmp_path)
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(json.dumps({
+        "sections": [{"source": "tiny.c", "manifest": "tiny.json"}],
+        "llm_backends": [{"tool_id": "mock", "kind": "mock", "responses": {"tiny": GOOD}}],
+        "strategies": ["IP"],
+        "attempts": 1,
+        "timing_repeats": 1,
+        "threads": 1,
+    }))
+    config = load_campaign_config(config_path)
+    outdir = tmp_path / "out"
+    first = execute(plan(config), config, outdir)
+    report = ["report", "--config", str(config_path), "--out", str(outdir)]
+    assert main(report) == 0
+    csv = (outdir / "records.csv").read_bytes()
+    # Two records and one candidate row, then a line that is not JSON and one that is no row.
+    first_bad = {"records.jsonl": 3, "candidates.jsonl": 2}
+    for name in first_bad:
+        with open(outdir / name, "a", encoding="utf-8") as handle:
+            handle.write('x\n{"a": 1}\n')
+    caplog.set_level(logging.WARNING, logger="pcaot")
+    second = execute(plan(config), config, outdir)
+    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+    for name, line in first_bad.items():
+        for number in (line, line + 1):
+            assert f"{outdir / name}:{number}: skipping a row that does not parse" in caplog.text
+    (outdir / "records.csv").unlink()
+    assert main(report) == 0
+    assert (outdir / "records.csv").read_bytes() == csv
+    # A record cut short is validated again.
+    path = outdir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][:20] + "\n"
+    path.write_text("".join(lines))
+    third = execute(plan(config), config, outdir)
+    assert [(r.key(), r.status) for r in third] == [(r.key(), r.status) for r in first]
+    assert len(path.read_text().splitlines()) == len(lines) + 1
+
+
+@needs_gcc
 def test_execute_validates_only_the_planned_sections(tmp_path):
     first = _write_section(tmp_path)
     other = tmp_path / "other"
@@ -492,6 +535,54 @@ def test_forged_timing_lines_are_not_a_pass(tmp_path):
     forged = by_key[("mock", "IP")]
     assert forged.status is not ValidationStatus.PASS
     assert forged.speedup is None
+
+
+@needs_gcc
+@pytest.mark.parametrize("statement", ["continue;", "break;"])
+def test_a_body_that_leaves_early_is_timed_to_where_it_stops(tmp_path, statement):
+    # A 20 ms nap, the right sum, then a statement that, in a driver whose
+    # repeat loop held the body, skipped the second clock read.
+    leaving = (
+        "```c\n"
+        "    { struct timespec nap = {0, 20000000}; nanosleep(&nap, 0); }\n"
+        "    total = 0.0;\n"
+        "    for (i = 0; i < 512; i++) {\n"
+        "        total += v[i];\n"
+        "    }\n"
+        f"    {statement}\n"
+        "```"
+    )
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny": leaving}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=3,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    leaver = {(r.tool, r.strategy): r for r in records}[("mock", "IP")]
+    assert leaver.status is ValidationStatus.PASS
+    assert 20e6 <= leaver.median_time_ns <= 2e9
+
+
+@needs_gcc
+def test_a_goto_cannot_reach_another_bodys_label(tmp_path):
+    # The right sum, then a jump to a label that only another candidate defines.
+    jumper = GOOD.replace("\n```", "\n    goto done;\n```")
+    landing = GOOD.replace("\n```", "\n    done: ;\n```")
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny/IP": jumper, "tiny/DIP": landing}),),
+        strategies=(PromptStrategy.IP, PromptStrategy.DIP),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    statuses = {(r.tool, r.strategy): r.status for r in records}
+    assert statuses[("mock", "IP")] is ValidationStatus.COMPILE_ERROR
+    assert statuses[("mock", "DIP")] is ValidationStatus.PASS
 
 
 def _summing(extra):
@@ -879,14 +970,14 @@ def test_every_compile_precedes_the_first_timed_run(tmp_path, monkeypatch):
 @needs_gcc
 @pytest.mark.parametrize("named", [None, 0])
 def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named):
-    # gcc, except that every driver of several bodies fails with one error
-    # line, which names no body or body 0.
+    # gcc, except that every driver of several bodies (one with a body 1)
+    # fails with one error line, which names no body or body 0.
     where = "driver.c" if named is None else f"pcaot_body_{named}.c"
     script = tmp_path / "nosection-cc"
     log = tmp_path / "gcc.log"
     script.write_text(
         f'#!/bin/sh\necho "$1" >> {log}\n'
-        f'if grep -q pcaot_body_ "$1"; then echo "{where}:1:1: error: no" >&2; exit 1; fi\n'
+        f'if grep -q pcaot_body_1.c "$1"; then echo "{where}:1:1: error: no" >&2; exit 1; fi\n'
         'exec gcc "$@"\n'
     )
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
@@ -921,8 +1012,8 @@ def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named)
         ["capture/capture.c", "serial/pcaot_helpers.c", "serial/driver.c", *alone, *retried]
     )
     for version_dir in (section / "serial", *(section / "candidates").iterdir()):
-        assert (version_dir / "driver.args").read_text() == "\n"
-        assert "pcaot_body_" not in (version_dir / "driver.c").read_text()
+        assert (version_dir / "driver.args").read_text() == "0\n"
+        assert "pcaot_body_1" not in (version_dir / "driver.c").read_text()
 
 
 # Stores how many CPUs the body's thread may run on.
@@ -1308,6 +1399,29 @@ def test_compiler_backends_share_the_request_pool(tmp_path):
     ]
     assert persisted == [origin.tool_id for origin in plan(config).candidate_origins]
     assert persisted == ["alpha", "mock", "zeta"]
+
+
+@needs_gcc
+def test_a_compiler_backend_works_in_its_version_directory(tmp_path, monkeypatch):
+    tmpdir = tmp_path / "tmpdir"
+    tmpdir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        compiler_backends=(CompilerDriverConfig(tool_id="copyc", command="cp {src} {out}"),),
+        timing_repeats=1,
+        threads=1,
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert [(r.tool, r.status) for r in records] == [
+        ("serial", ValidationStatus.PASS), ("copyc", ValidationStatus.PASS)
+    ]
+    compiler = outdir / "sections" / "tiny" / "candidates" / "copyc__na__0" / "compiler"
+    assert sorted(p.name for p in compiler.iterdir()) == ["input.c", "transformed.c"]
+    assert (compiler / "input.c").read_bytes() == (compiler / "transformed.c").read_bytes()
+    assert list(tmpdir.iterdir()) == []
 
 
 # --- aggregation -----------------------------------------------------------

@@ -394,13 +394,14 @@ def test_driver_of_several_bodies_runs_the_one_argv_names(workdir):
     driver = generate_replay_driver(["k = 7;", "k = 8;", "k = 9;"], manifest, timing_repeats=2)
     spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
     binary = build(driver, spec)
-    for argv, value in ((["0"], 7), (["1"], 8), (["2"], 9)):
+    # No argument runs body 0.
+    for argv, value in (([], 7), (["0"], 7), (["1"], 8), (["2"], 9)):
         result = run(binary, timeout_s=60.0, args=argv)
         assert result.exit_code == 0, result.stderr
         assert len(collect_timing(result, 2).samples_ns) == 2
         out = read_checkpoint_file(workdir / output_checkpoint_name("sec"))
         assert out.record("k").values() == np.int32(value)
-    for argv in ([], ["3"], ["1", "2"], ["01"]):
+    for argv in (["3"], ["1", "2"], ["01"]):
         result = run(binary, timeout_s=60.0, args=argv)
         assert result.exit_code == 3
         assert "pcaot: run as: ./driver N, with N from 0 to 2" in result.stderr
@@ -410,10 +411,23 @@ def test_one_body_driver_is_the_same_from_a_string_or_a_list():
     manifest = manifest_of(VariableSpec("k", "i32", (), "out"))
     text = generate_replay_driver("k = 7;", manifest).text
     assert generate_replay_driver(["k = 7;"], manifest).text == text
-    assert "int main(void) {" in text
-    assert "pcaot_body_" not in text
+    assert "int main(int pcaot_argc, char **pcaot_argv) {" in text
+    assert text.count('#line 1 "pcaot_body_0.c"') == 1
+    assert "pcaot_body_1" not in text
     with pytest.raises(ValueError):
         generate_replay_driver([], manifest)
+
+
+def test_a_driver_emits_its_shared_code_once():
+    manifest = manifest_of(VariableSpec("a", "f64", (4,), "in"), VariableSpec("k", "i32", (), "out"))
+    text = generate_replay_driver(["k = 7;", "k = 8;", "k = 9;"], manifest, timing_repeats=2).text
+    _, main_text = text.split("int main(")
+    for once in ("double a[4];", "pcaot_ckpt_open(", "k = 0;", "pcaot_ckpt_begin(",
+                 'printf("PCAOT_TIME_NS'):
+        assert main_text.count(once) == 1, once
+    # Each body between its own two clock reads.
+    assert text.count("clock_gettime(") == 6
+    assert text.count("do { /* pcaot: section body */") == 3
 
 
 @needs_gcc
@@ -458,6 +472,8 @@ def test_bodies_named_in_reads_error_lines_only():
         ("x = a[(i];", False),
         ("x = f(1)); {", False),
         ("x = ')' + \"[\"; /* ( */", True),
+        ("k = 1; goto done;", False),
+        ("k = 2; done: k += 10; /* goto */ s = \"goto\"; gotox = 1;", True),
     ],
 )
 def test_can_share_driver(body, shares):
