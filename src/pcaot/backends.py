@@ -340,12 +340,13 @@ def request_compiler(
     """Run a compiler backend over the wrapped section and re-extract it.
 
     The wrapped section is written to workdir/input.c (made if missing),
-    and the backend runs in workdir, where its files stay.  Raises
+    and the backend runs in workdir, where its files stay; a relative
+    workdir is resolved first, so the templates' paths hold there.  Raises
     ToolMissing, ToolFailure (nonzero exit) or OutputMissing (no output
     file, or output without an intact section fence).  Output that is not
     UTF-8 is decoded with replacement characters.
     """
-    workdir = Path(workdir)
+    workdir = Path(workdir).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
     fills = _template_fills(workdir)
     Path(fills["src"]).write_text(

@@ -1,19 +1,20 @@
 """Campaign orchestration: plan, execute, aggregate, and report.
 
 A campaign pairs section sources with manifests, fans each section out to
-every configured backend (LLM strategies x attempts, plus compiler
-backends, plus the serial original), validates every candidate against the
-captured reference state, and aggregates the outcome records into metrics
-and charts.  Candidates of every backend, LLM or compiler, are produced
-through one thread pool of config.max_inflight workers and persisted in
-plan order.  Validation then decides each version once: a queue step per
-section generates one replay driver for the section, holding the distinct
-code of every version that needs a record, serial included, and queues its
-compile on runner's pool once, in the first of those versions' directories,
-for every section before the first capture runs.  Code that cannot share a
-driver, and code that gcc names in a failed section driver's errors, gets a
-driver of its own (_SectionDrivers).  A loop then captures each section and
-builds, runs and records its versions, selecting each one's code through argv.
+every configured backend (LLM strategies x attempts, plus compiler backends,
+plus the serial original), validates every candidate against the captured
+reference state, and aggregates the outcome records into metrics and charts.
+Each section is read once, before any candidate is produced, and every later
+stage works from that read.  Candidates of every backend, LLM or compiler, are
+produced through one thread pool of config.max_inflight workers and persisted
+in plan order.  Validation then decides each version once: a queue step per
+section generates one replay driver for the section, holding the distinct code
+of every version that needs a record, serial included, and queues its compile
+on runner's pool once, in the first of those versions' directories, for every
+section before the first capture runs.  Code that cannot share a driver, and
+code that gcc names in a failed section driver's errors, gets a driver of its
+own (_SectionDrivers).  A loop then captures each section and builds, runs and
+records its versions, selecting each one's code through argv.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -46,7 +47,7 @@ import math
 import re
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -244,6 +245,20 @@ def _key(section_id: str, origin: Origin) -> tuple[str, str, str | None, int | N
     return (section_id, origin.tool_id, strategy, origin.attempt)
 
 
+# What a persisted row's field may hold, by its declared type.  type() is
+# compared, so a bool is no int.
+_FIELD_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float | None": (float, int, type(None)),
+    "ValidationStatus": (ValidationStatus,),
+    "OutcomeCategory": (OutcomeCategory,),
+    "tuple[str, ...]": (tuple,),
+}
+
+
 @dataclass(frozen=True)
 class _Row:
     """The leading fields of every persisted row: the _key of its version.
@@ -264,7 +279,13 @@ class _Row:
 
     @classmethod
     def from_dict(cls, doc: dict):
-        return cls(**doc)
+        """The row doc holds; TypeError when a field's value is not of its declared type."""
+        row = cls(**doc)
+        for f in fields(row):
+            value = getattr(row, f.name)
+            if type(value) not in _FIELD_TYPES[f.type]:
+                raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
+        return row
 
 
 @dataclass(frozen=True)
@@ -300,12 +321,15 @@ class OutcomeRecord(_Row):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OutcomeRecord":
-        return cls(
-            **{
+        detected = doc["detected"]
+        if not (isinstance(detected, list) and all(type(label) is str for label in detected)):
+            raise TypeError(f"detected must be a list of strings, not {detected!r}")
+        return super().from_dict(
+            {
                 **doc,
                 "status": ValidationStatus(doc["status"]),
                 "category": OutcomeCategory(doc["category"]),
-                "detected": tuple(doc["detected"]),
+                "detected": tuple(detected),
             }
         )
 
@@ -336,17 +360,19 @@ def _version_dir(outdir: Path, section_id: str, origin: Origin) -> Path:
 
 @dataclass(frozen=True)
 class _SectionContext:
-    """Everything validation needs about one captured section."""
+    """One section as _load_section read it, once; _capture adds its capture run's results."""
 
+    job: SectionJob
     section: ExperimentalSection
     manifest: StateManifest
-    in_ckpt: Path | None
-    out_ckpt: Path
-    reference: ckpt.Checkpoint
-    capture_wall_ns: int
+    capture: GeneratedSource
+    in_ckpt: Path | None = None
+    out_ckpt: Path | None = None
+    reference: ckpt.Checkpoint | None = None
+    capture_wall_ns: int = 0
 
 
-def _load_section(job: SectionJob) -> tuple[ExperimentalSection, StateManifest, str]:
+def _load_section(job: SectionJob) -> _SectionContext:
     try:
         manifest = load_manifest_file(job.manifest_path)
         source_text = Path(job.source_path).read_text(encoding="utf-8")
@@ -361,7 +387,8 @@ def _load_section(job: SectionJob) -> tuple[ExperimentalSection, StateManifest, 
         raise CaptureFailure(
             f"manifest names section {manifest.section_id!r}; {job.source_path} has: {ids}"
         )
-    return matching[0], manifest, source_text
+    capture = generate_capture_program(source_text, matching[0], manifest)
+    return _SectionContext(job, matching[0], manifest, capture)
 
 
 def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _SectionContext:
@@ -371,16 +398,19 @@ def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _S
     become the reference.  Raises CaptureFailure on any failure along the
     way, an OSError in the capture directory included.
     """
-    section, manifest, source_text = _load_section(job)
-    sid = manifest.section_id
+    return _capture(_load_section(job), config, outdir)
+
+
+def _capture(ctx: _SectionContext, config: CampaignConfig, outdir: Path) -> _SectionContext:
+    """capture_section for a section already loaded: ctx, with the capture run's results."""
+    sid = ctx.manifest.section_id
     capture_dir = _capture_dir(outdir, sid)
     in_path = capture_dir / input_checkpoint_name(sid)
     out_path = capture_dir / output_checkpoint_name(sid)
-    needs_input = bool(manifest.inputs)
+    needs_input = bool(ctx.manifest.inputs)
 
-    generated = generate_capture_program(source_text, section, manifest)
     try:
-        binary = build(generated, replace(config.build, workdir=capture_dir))
+        binary = build(ctx.capture, replace(config.build, workdir=capture_dir))
         in_path.unlink(missing_ok=True)
         out_path.unlink(missing_ok=True)
     except (PcaotError, OSError) as exc:
@@ -406,9 +436,8 @@ def capture_section(job: SectionJob, config: CampaignConfig, outdir: Path) -> _S
         reference = ckpt.read_checkpoint_file(out_path)
     except PcaotError as exc:
         raise CaptureFailure(f"reference checkpoint for {sid!r} unreadable: {exc}") from exc
-    return _SectionContext(
-        section=section,
-        manifest=manifest,
+    return replace(
+        ctx,
         in_ckpt=in_path if needs_input else None,
         out_ckpt=out_path,
         reference=reference,
@@ -455,20 +484,18 @@ def _append_jsonl(path: Path, doc: dict) -> None:
 def _produce_one(
     origin: Origin,
     backend: MockLlm | LlmEndpointConfig | CompilerDriverConfig,
-    section: ExperimentalSection,
-    manifest: StateManifest,
-    job: SectionJob,
+    ctx: _SectionContext,
     outdir: Path,
 ) -> CandidateRow:
-    row = CandidateRow(*_key(manifest.section_id, origin), code=None)
+    row = CandidateRow(*_key(ctx.manifest.section_id, origin), code=None)
     request = OptimizationRequest(
-        section_code=section.body_text,
+        section_code=ctx.section.body_text,
         strategy=origin.strategy,
         attempt=origin.attempt or 1,
     )
     try:
         if isinstance(backend, MockLlm):
-            candidate = backend.request(request, manifest.section_id)
+            candidate = backend.request(request, ctx.manifest.section_id)
         elif isinstance(backend, LlmEndpointConfig):
             candidate = request_llm(
                 request, backend.params, backend.endpoint, tool_id=backend.tool_id
@@ -477,12 +504,12 @@ def _produce_one(
             candidate = request_compiler(
                 request,
                 backend,
-                manifest,
-                job.support_code,
-                workdir=_version_dir(outdir, manifest.section_id, origin) / "compiler",
+                ctx.manifest,
+                ctx.job.support_code,
+                workdir=_version_dir(outdir, ctx.manifest.section_id, origin) / "compiler",
             )
     except PcaotError as exc:
-        log.warning("candidate %s/%s failed: %s", manifest.section_id, origin.tool_id, exc)
+        log.warning("candidate %s/%s failed: %s", ctx.manifest.section_id, origin.tool_id, exc)
         return replace(row, error=str(exc))
     return replace(row, code=candidate.code, raw_response=candidate.raw_response)
 
@@ -498,17 +525,22 @@ def produce_candidates(
     plan order.  Raises ParseError, before any backend is asked, when two
     sections share an id or a sections/ directory (_safe_name).
     """
+    return _produce(config, outdir, experiment)[1]
+
+
+def _produce(config: CampaignConfig, outdir: Path, experiment: ExperimentPlan | None) -> tuple:
+    """(the sections produce_candidates loaded, in plan order, and its rows)."""
     outdir = _ensure_dir(outdir)
     experiment = experiment or plan(config)
-    loaded = []
+    loaded: list[_SectionContext] = []
     dirs: dict[str, str] = {}
     for job in experiment.jobs:
         try:
-            section, manifest, _ = _load_section(job)
+            ctx = _load_section(job)
         except CaptureFailure as exc:
-            log.warning("skipping candidate production: %s", exc)
+            log.warning("section skipped: %s", exc)
             continue
-        sid, name = manifest.section_id, _safe_name(manifest.section_id)
+        sid, name = ctx.manifest.section_id, _safe_name(ctx.manifest.section_id)
         if name in dirs:
             raise ParseError(
                 f"section {sid!r} is listed more than once"
@@ -516,25 +548,24 @@ def produce_candidates(
                 else f"sections {dirs[name]!r} and {sid!r} share sections/{name}/"
             )
         dirs[name] = sid
-        loaded.append((job, section, manifest))
+        loaded.append(ctx)
     path = outdir / "candidates.jsonl"
     rows: dict[tuple, CandidateRow] = {r.key(): r for r in _load_jsonl(path, CandidateRow.from_dict)}
     backends = {b.tool_id: b for b in (*config.llm_backends, *config.compiler_backends)}
     with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
-        for job, section, manifest in loaded:
+        for ctx in loaded:
             missing = [
                 origin
                 for origin in experiment.candidate_origins
-                if _key(manifest.section_id, origin) not in rows
+                if _key(ctx.manifest.section_id, origin) not in rows
             ]
             produced = pool.map(
-                lambda o: _produce_one(o, backends[o.tool_id], section, manifest, job, outdir),
-                missing,
+                lambda o: _produce_one(o, backends[o.tool_id], ctx, outdir), missing
             )
             for row in produced:
                 rows[row.key()] = row
                 _append_jsonl(path, row.to_dict())
-    return rows
+    return loaded, rows
 
 
 def _candidate_timeout(config: CampaignConfig, baseline_wall_ns: int) -> float:
@@ -725,31 +756,29 @@ class _SectionDrivers:
 
 
 def _queue_section(
-    job: SectionJob,
+    ctx: _SectionContext,
     config: CampaignConfig,
     outdir: Path,
     experiment: ExperimentPlan,
     rows: dict[tuple, CandidateRow],
     existing: dict[tuple, OutcomeRecord],
-) -> tuple[str, list[tuple[Origin, str | None, ReservedName | None]], _SectionDrivers]:
-    """Load a section, queue its compiles, and return its id, versions and drivers.
+) -> tuple[list[tuple[Origin, str | None, ReservedName | None]], _SectionDrivers]:
+    """Queue a loaded section's compiles, and return its versions and drivers.
 
     Each version, serial first, is (origin, code, rejection).  rejection is
     the ReservedName error of candidate code that names a reserved
     identifier outside comments and strings; that code is neither generated
     nor built.  The body of every other version with code and no record is
     queued in the section's drivers, and the capture when any version has
-    no record.  Raises CaptureFailure when the section does not load or its
-    capture cannot be queued.
+    no record.  Raises CaptureFailure when its capture cannot be queued.
     """
-    section, manifest, source_text = _load_section(job)
-    sid = manifest.section_id
+    sid = ctx.manifest.section_id
     versions = []
     workdirs: dict[str, Path] = {}
     for origin in (Origin(tool_id=SERIAL_TOOL_ID), *experiment.candidate_origins):
         row = rows.get(_key(sid, origin))
         is_serial = origin.tool_id == SERIAL_TOOL_ID
-        code = section.body_text if is_serial else (row.code if row is not None else None)
+        code = ctx.section.body_text if is_serial else (row.code if row is not None else None)
         rejection = None
         if code is not None and _key(sid, origin) not in existing:
             try:
@@ -760,22 +789,23 @@ def _queue_section(
                 rejection = exc
         versions.append((origin, code, rejection))
     if any(_key(sid, origin) not in existing for origin, _, _ in versions):
-        capture = generate_capture_program(source_text, section, manifest)
         try:
-            start_build(capture, replace(config.build, workdir=_capture_dir(outdir, sid)))
+            start_build(ctx.capture, replace(config.build, workdir=_capture_dir(outdir, sid)))
         except OSError as exc:
             raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
-    drivers = _SectionDrivers(manifest, config, job.support_code)
+    drivers = _SectionDrivers(ctx.manifest, config, ctx.job.support_code)
     drivers.queue(workdirs)
-    return sid, versions, drivers
+    return versions, drivers
 
 
 def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
     """Capture, produce and validate everything a plan describes.
 
-    Once the candidates exist, every section is queued (_queue_section), so
-    the first build() call waits for every compile, replacements of failed
-    section drivers included, and later ones are memo hits.  A section is
+    Each section is read once (_produce), before any candidate runs, so no
+    file a candidate writes can change its serial code or capture.  Once the
+    candidates exist, every section is queued (_queue_section), so the first
+    build() call waits for every compile, replacements of failed section
+    drivers included, and later ones are memo hits.  A section is
     captured afresh just before its versions run, and not at all when every
     version has a record.  Sections whose reference capture fails are
     skipped (and logged); all other failures become per-version statuses.
@@ -789,22 +819,23 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     _write_text(outdir / "pcaot_helpers.c", HELPER_SOURCE)
     records_path = outdir / "records.jsonl"
     existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
-    rows = produce_candidates(config, outdir, experiment)
+    loaded, rows = _produce(config, outdir, experiment)
     queued = []
-    for job in experiment.jobs:
+    for ctx in loaded:
         try:
-            queued.append((job, *_queue_section(job, config, outdir, experiment, rows, existing)))
+            queued.append((ctx, *_queue_section(ctx, config, outdir, experiment, rows, existing)))
         except CaptureFailure as exc:
             log.warning("section skipped: %s", exc)
     records: list[OutcomeRecord] = []
 
-    for job, sid, versions, drivers in queued:
+    for ctx, versions, drivers in queued:
+        sid = ctx.manifest.section_id
         recorded = [existing.get(_key(sid, origin)) for origin, _, _ in versions]
         if None not in recorded:
             records.extend(recorded)
             continue
         try:
-            ctx = capture_section(job, config, outdir)
+            ctx = _capture(ctx, config, outdir)
         except CaptureFailure as exc:
             log.warning("section skipped: %s", exc)
             continue
@@ -1140,6 +1171,14 @@ def _parse_compiler_backend(doc) -> CompilerDriverConfig:
     return CompilerDriverConfig(**_present(doc, "tool_id", "command", "output_path"))
 
 
+def _list(doc: dict, key: str) -> list:
+    """doc[key], which must be a JSON list; an empty one when absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a JSON list")
+    return value
+
+
 def load_campaign_config(path: Path) -> CampaignConfig:
     """Parse a campaign config JSON file; paths resolve against its directory.
 
@@ -1158,9 +1197,12 @@ def load_campaign_config(path: Path) -> CampaignConfig:
     base = path.parent
 
     jobs = []
-    for entry in doc.get("sections", []):
+    for entry in _list(doc, "sections"):
         if not isinstance(entry, dict) or "source" not in entry or "manifest" not in entry:
             raise ParseError("each section entry needs source and manifest paths")
+        for key in ("source", "manifest", "support_code", "support_code_path"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ParseError(f"section {key} must be a string")
         support = entry.get("support_code", "")
         if "support_code_path" in entry:
             try:
@@ -1178,12 +1220,13 @@ def load_campaign_config(path: Path) -> CampaignConfig:
 
     settings = _present(doc, "attempts", "timing_repeats", "threads", "timeout_s", "max_inflight")
     if "strategies" in doc:
+        strategies = _list(doc, "strategies")
         try:
-            settings["strategies"] = tuple(PromptStrategy(s) for s in doc["strategies"])
+            settings["strategies"] = tuple(PromptStrategy(s) for s in strategies)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"unknown prompt strategy: {exc}") from exc
     if "size_buckets" in doc:
-        settings["size_buckets"] = tuple(doc["size_buckets"])
+        settings["size_buckets"] = tuple(_list(doc, "size_buckets"))
     if "tolerance" in doc:
         settings["tolerance"] = Tolerance(**_present(doc["tolerance"], "abs", "rel"))
     if "build" in doc:
@@ -1197,9 +1240,9 @@ def load_campaign_config(path: Path) -> CampaignConfig:
 
     return CampaignConfig(
         sections=tuple(jobs),
-        llm_backends=tuple(_parse_llm_backend(b, base) for b in doc.get("llm_backends", [])),
+        llm_backends=tuple(_parse_llm_backend(b, base) for b in _list(doc, "llm_backends")),
         compiler_backends=tuple(
-            _parse_compiler_backend(b) for b in doc.get("compiler_backends", [])
+            _parse_compiler_backend(b) for b in _list(doc, "compiler_backends")
         ),
         **settings,
     )

@@ -98,7 +98,8 @@ def _load_config(args: argparse.Namespace) -> CampaignConfig:
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
-    section, manifest, _ = _load_section(SectionJob(args.src, args.manifest))
+    ctx = _load_section(SectionJob(args.src, args.manifest))
+    section, manifest = ctx.section, ctx.manifest
     doc = {
         "section_id": section.id,
         "start_line": section.start_line,
@@ -158,10 +159,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 1 if errored else 0
 
 
-def _summarize(records: list[OutcomeRecord], config: CampaignConfig) -> dict:
-    planned = {
+def _planned_ids(config: CampaignConfig) -> set[str]:
+    """Each planned section's id, read before the campaign runs: a candidate can rewrite it."""
+    return {
         _job_section_id(job) or f"<unreadable: {job.manifest_path}>" for job in config.sections
     }
+
+
+def _summarize(records: list[OutcomeRecord], planned: set[str]) -> dict:
     skipped = sorted(planned - {r.section_id for r in records})
     failures = sum(1 for r in records if r.status is not ValidationStatus.PASS)
     return {
@@ -184,8 +189,9 @@ def _print_summary(summary: dict, as_json: bool) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    planned = _planned_ids(config)
     records = execute(plan(config), config, args.out)
-    summary = _summarize(records, config)
+    summary = _summarize(records, planned)
     _print_summary(summary, args.json)
     return 1 if summary["failures"] or summary["skipped_sections"] else 0
 
@@ -218,10 +224,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{doc['sections']} section(s), {doc['versions_per_section']} versions each "
                   f"({doc['total_versions']} total, {doc['total_llm_attempts']} LLM attempts)")
         return 0
+    planned = _planned_ids(config)
     records = execute(experiment, config, args.out)
     metrics = aggregate(records, config)
     emit_reports(metrics, records, args.out)
-    summary = _summarize(records, config)
+    summary = _summarize(records, planned)
     _print_summary(summary, args.json)
     return 1 if summary["failures"] or summary["skipped_sections"] else 0
 

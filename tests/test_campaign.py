@@ -268,6 +268,15 @@ def test_load_campaign_config_rejects_garbage(tmp_path):
         {"build": {"flags": "-O2"}},
         {"build": {"flags": ["-O2", 3]}},
         {"build": {"compiler_cmd": ["gcc", "{src}", "-o", "{out}"]}},
+        {"sections": 5},
+        {"llm_backends": 5},
+        {"compiler_backends": 5},
+        {"strategies": {"IP": 1}},
+        {"size_buckets": 5},
+        {"sections": [{"source": 5, "manifest": "a.json"}]},
+        {"sections": [{"source": "a.c", "manifest": ["a"]}]},
+        {"sections": [{"source": "a.c", "manifest": "a.json", "support_code": ["x"]}]},
+        {"sections": [{"source": "a.c", "manifest": "a.json", "support_code_path": 5}]},
     ],
 )
 def test_load_campaign_config_rejects_malformed_entries(tmp_path, capsys, doc):
@@ -440,16 +449,19 @@ def test_lines_that_do_not_parse_are_skipped_on_resume(tmp_path, caplog):
     report = ["report", "--config", str(config_path), "--out", str(outdir)]
     assert main(report) == 0
     csv = (outdir / "records.csv").read_bytes()
-    # Two records and one candidate row, then a line that is not JSON and one that is no row.
+    # Two records and one candidate row, then a line that is not JSON, one that is no row,
+    # and a copy of the last row with a field of the wrong type.
     first_bad = {"records.jsonl": 3, "candidates.jsonl": 2}
-    for name in first_bad:
+    wrong_type = {"records.jsonl": ("lines", "x"), "candidates.jsonl": ("code", 5)}
+    for name, (key, value) in wrong_type.items():
+        last = json.loads((outdir / name).read_text().splitlines()[-1])
         with open(outdir / name, "a", encoding="utf-8") as handle:
-            handle.write('x\n{"a": 1}\n')
+            handle.write('x\n{"a": 1}\n' + json.dumps({**last, key: value}) + "\n")
     caplog.set_level(logging.WARNING, logger="pcaot")
     second = execute(plan(config), config, outdir)
     assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
     for name, line in first_bad.items():
-        for number in (line, line + 1):
+        for number in (line, line + 1, line + 2):
             assert f"{outdir / name}:{number}: skipping a row that does not parse" in caplog.text
     (outdir / "records.csv").unlink()
     assert main(report) == 0
@@ -1325,6 +1337,65 @@ def test_a_directory_planted_in_another_sections_capture_skips_it(tmp_path, capl
         caplog.clear()
 
 
+# sumsqrt's loop with one more statement in it: a sum 2e6 too large.
+SUMSQRT_STEP = "        s += sqrt(a[i] * a[i] + 1.0);\n"
+WRONG_SUMSQRT = (
+    "```c\n    s = 0.0;\n    for (i = 0; i < 2000000; i++) {\n"
+    f"{SUMSQRT_STEP}        s += 1.0;\n    }}\n```"
+)
+
+
+# Each rewrite: (file of samples/, old text, new text).
+REWRITES = {
+    # The wrong candidate's extra statement, in the section a capture would read.
+    "source": ("sumsqrt.c", SUMSQRT_STEP, SUMSQRT_STEP + "        s += 1.0;\n"),
+    "manifest": ("chain_dp.manifest.json", '"chain_dp"', '"zzz"'),
+}
+
+
+@needs_gcc
+@pytest.mark.parametrize("rewrite", REWRITES)
+def test_a_section_input_rewritten_by_a_candidate_changes_nothing(tmp_path, capsys, rewrite):
+    # The vecscale CoT candidate, in the first section, copies a forged file
+    # over a later section's input before that section is captured.
+    target, old, new = REWRITES[rewrite]
+    samples = shutil.copytree(SAMPLES, tmp_path / "samples")
+    forged = tmp_path / "forged"
+    forged.write_text((samples / target).read_text().replace(old, new, 1))
+    copy = f'(void)system("cp {forged} {samples / target}");'
+    responses = {"vecscale/CoT": _vecscale_then(copy)}
+    expected = {}
+    if rewrite == "source":
+        responses["sumsqrt/IP"] = WRONG_SUMSQRT
+        expected = {("sumsqrt", "IP"): "NumericMismatch"}
+    doc = json.loads((samples / "campaign.json").read_text())
+    doc["llm_backends"][0]["responses"] = responses
+    (samples / "campaign.json").write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    code = main(["run", "--config", str(samples / "campaign.json"), "--out", str(outdir)])
+    assert (samples / target).read_bytes() == forged.read_bytes()
+    records = [json.loads(line) for line in (outdir / "records.jsonl").read_text().splitlines()]
+    assert len(records) == 15
+    statuses = {(r["section_id"], r["strategy"]): r["status"] for r in records}
+    assert {key: status for key, status in statuses.items() if status != "Pass"} == expected
+    assert code == (1 if expected else 0)
+    assert "skipped sections" not in capsys.readouterr().out
+
+
+@needs_gcc
+def test_each_section_is_read_and_instrumented_once(tmp_path, monkeypatch):
+    calls = {}
+    for name in ("load_manifest_file", "extract_sections", "generate_capture_program"):
+        def counted(*args, _name=name, _original=getattr(campaign, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, name, counted)
+    config = _sample_config({})
+    assert len(execute(plan(config), config, tmp_path / "out")) == 15
+    assert calls == {"load_manifest_file": 3, "extract_sections": 3, "generate_capture_program": 3}
+
+
 @pytest.mark.parametrize(
     "ids, message",
     [
@@ -1422,6 +1493,14 @@ def test_a_compiler_backend_works_in_its_version_directory(tmp_path, monkeypatch
     assert sorted(p.name for p in compiler.iterdir()) == ["input.c", "transformed.c"]
     assert (compiler / "input.c").read_bytes() == (compiler / "transformed.c").read_bytes()
     assert list(tmpdir.iterdir()) == []
+
+
+@needs_gcc
+def test_a_relative_output_directory_serves_compiler_backends(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(SAMPLES / "campaign.json"), "--out", "out"]) == 0
+    records = [json.loads(line) for line in Path("out/records.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in records if r["tool"] == "copyc"] == ["Pass"] * 3
 
 
 # --- aggregation -----------------------------------------------------------
