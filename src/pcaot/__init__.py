@@ -10,7 +10,7 @@ under a numeric tolerance while timing it.
 The package root re-exports the names the README and ``demos/`` use; the
 rest lives in the submodules (``pcaot.sections``, ``pcaot.checkpoint``,
 ``pcaot.instrument``, ``pcaot.runner``, ``pcaot.backends``,
-``pcaot.pattern``, ``pcaot.campaign``).
+``pcaot.pattern``, ``pcaot.config``, ``pcaot.campaign``, ``pcaot.report``).
 """
 
 from .backends import (
@@ -21,7 +21,7 @@ from .backends import (
     render_prompt,
     request_llm,
 )
-from .campaign import aggregate, emit_reports, execute, load_campaign_config, plan
+from .campaign import execute, plan
 from .checkpoint import (
     Checkpoint,
     Tolerance,
@@ -31,9 +31,11 @@ from .checkpoint import (
     encode,
     read_checkpoint_file,
 )
+from .config import load_campaign_config
 from .errors import PcaotError
 from .instrument import generate_capture_program, generate_replay_driver, output_checkpoint_name
 from .pattern import PatternLabel, ValidationStatus, categorize, detect
+from .report import aggregate, emit_reports
 from .runner import BuildSpec, build, collect_timing, run
 from .sections import extract_sections, load_manifest, load_manifest_file
 

@@ -1,20 +1,21 @@
-"""Campaign orchestration: plan, execute, aggregate, and report.
+"""The campaign pipeline: plan, produce, capture and validate, and the rows it persists.
 
-A campaign pairs section sources with manifests, fans each section out to
-every configured backend (LLM strategies x attempts, plus compiler backends,
-plus the serial original), validates every candidate against the captured
-reference state, and aggregates the outcome records into metrics and charts.
-Each section is read once, before any candidate is produced, and every later
-stage works from that read.  Candidates of every backend, LLM or compiler, are
-produced through one thread pool of config.max_inflight workers and persisted
-in plan order.  Validation then decides each version once: a queue step per
-section generates one replay driver for the section, holding the distinct code
-of every version that needs a record, serial included, and queues its compile
-on runner's pool once, in the first of those versions' directories, for every
-section before the first capture runs.  Code that cannot share a driver, and
-code that gcc names in a failed section driver's errors, gets a driver of its
-own (_SectionDrivers).  A loop then captures each section and builds, runs and
-records its versions, selecting each one's code through argv.
+A campaign pairs section sources with manifests, as pcaot.config loads them,
+fans each section out to every configured backend (LLM strategies x attempts,
+plus compiler backends, plus the serial original), and validates every
+candidate against the captured reference state; pcaot.report folds the records
+into metrics and charts.  Each section is read once, before any candidate is
+produced, and every later stage works from that read.  Candidates of every
+backend, LLM or compiler, are produced through one thread pool of
+config.max_inflight workers and persisted in plan order.  Validation then
+decides each version once: a queue step per section generates one replay driver
+for the section, holding the distinct code of every version that needs a
+record, serial included, and queues its compile on runner's pool once, in the
+first of those versions' directories, for every section before the first
+capture runs.  Code that cannot share a driver, and code that gcc names in a
+failed section driver's errors, gets a driver of its own (_SectionDrivers).  A
+loop then captures each section and builds, runs and records its versions,
+selecting each one's code through argv.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -43,27 +44,24 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from ._svg import grouped_bar_chart
 from .backends import (
     CompilerDriverConfig,
     LlmEndpointConfig,
     MockLlm,
     OptimizationRequest,
     Origin,
-    PromptStrategy,
-    SamplingParams,
     request_compiler,
     request_llm,
 )
-from .checkpoint import ComparisonStatus, Tolerance
+from .checkpoint import ComparisonStatus
+from .config import SERIAL_TOOL_ID, CampaignConfig, SectionJob
 from .errors import ParseError, PcaotError
 from .instrument import (
     HELPER_SOURCE,
@@ -83,9 +81,8 @@ from .pattern import (
     detect,
     has_any_directive,
 )
+from .report import _ensure_dir, _write_text
 from .runner import (
-    DEFAULT_THREADS,
-    BuildSpec,
     CompileFailure,
     SpawnFailure,
     build,
@@ -96,25 +93,15 @@ from .runner import (
 )
 from .sections import ExperimentalSection, StateManifest, extract_sections, load_manifest_file
 
+# Not used here: perfbench/ and the acceptance gate resolve these names through pcaot.campaign.
+from .config import load_campaign_config  # noqa: F401
+from .report import aggregate, emit_reports  # noqa: F401
+
 log = logging.getLogger("pcaot")
 
-SERIAL_TOOL_ID = "serial"
 CAPTURE_TIMEOUT_S = 60.0
 TIMEOUT_FLOOR_S = 10.0
 TIMEOUT_FACTOR = 10.0
-
-CSV_COLUMNS = (
-    "section_id",
-    "tool",
-    "strategy",
-    "attempt",
-    "status",
-    "category",
-    "detected_patterns",
-    "lines",
-    "median_time_ns",
-    "speedup",
-)
 
 
 class EmptyCampaign(PcaotError):
@@ -125,67 +112,8 @@ class CaptureFailure(PcaotError):
     """The reference capture run for a section failed; the section is skipped."""
 
 
-class IoFailure(PcaotError):
-    """The output directory could not be written."""
-
-
 class ReservedName(PcaotError):
     """Candidate code uses a name reserved for the replay driver, or ##; it is not built."""
-
-
-@dataclass(frozen=True)
-class SectionJob:
-    """One (source file, manifest) pair, plus optional extras."""
-
-    source_path: Path
-    manifest_path: Path
-    support_code: str = ""
-    hand_optimized_ns: int | None = None
-
-    def __post_init__(self) -> None:
-        value = self.hand_optimized_ns
-        if value is not None and (type(value) is not int or value < 1):
-            raise ParseError("hand_optimized_ns must be a positive integer")
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    sections: tuple[SectionJob, ...]
-    llm_backends: tuple[MockLlm | LlmEndpointConfig, ...] = ()
-    compiler_backends: tuple[CompilerDriverConfig, ...] = ()
-    strategies: tuple[PromptStrategy, ...] = tuple(PromptStrategy)
-    attempts: int = 3
-    timing_repeats: int = 3
-    tolerance: Tolerance = Tolerance()
-    build: BuildSpec = BuildSpec()
-    threads: int = DEFAULT_THREADS
-    size_buckets: tuple[int, ...] = (10, 20, 40, 80)
-    timeout_s: float | None = None
-    max_inflight: int = 4
-
-    def __post_init__(self) -> None:
-        for name in ("attempts", "timing_repeats", "threads", "max_inflight"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ParseError(f"{name} must be an integer of at least 1")
-        timeout = self.timeout_s
-        if timeout is not None and not (type(timeout) in (int, float) and 0 < timeout < math.inf):
-            raise ParseError("timeout_s must be a positive finite number")
-        if any(type(b) is not int or b <= 0 for b in self.size_buckets):
-            raise ParseError("size_buckets must be positive integers")
-        if any(b <= a for a, b in zip(self.size_buckets, self.size_buckets[1:])):
-            raise ParseError("size_buckets must be strictly ascending")
-        tool_ids = [b.tool_id for b in self.llm_backends] + [
-            c.tool_id for c in self.compiler_backends
-        ]
-        if len(set(tool_ids)) != len(tool_ids):
-            raise ParseError("backend tool ids must be unique")
-        if SERIAL_TOOL_ID in tool_ids:
-            raise ParseError(f"tool id {SERIAL_TOOL_ID!r} is reserved for the baseline")
-
-    @property
-    def llm_tool_ids(self) -> frozenset[str]:
-        return frozenset(b.tool_id for b in self.llm_backends)
 
 
 @dataclass(frozen=True)
@@ -809,9 +737,10 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     captured afresh just before its versions run, and not at all when every
     version has a record.  Sections whose reference capture fails are
     skipped (and logged); all other failures become per-version statuses.
-    Returns records in deterministic order: sections in plan order, the
-    serial baseline first, then candidates by (tool, strategy, attempt).
-    Existing records.jsonl rows are reused, new ones appended.
+    Speedups are taken only against a serial that Passed.  Returns records
+    in deterministic order: sections in plan order, the serial baseline
+    first, then candidates by (tool, strategy, attempt).  Existing
+    records.jsonl rows are reused, new ones appended.
     """
     if not experiment.jobs:
         raise EmptyCampaign("experiment plan lists no sections")
@@ -857,392 +786,14 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
             records.append(record)
             if not is_serial:
                 continue
-            if record.status is not ValidationStatus.PASS:
+            if record.status is ValidationStatus.PASS:
+                serial_median = record.median_time_ns
+            else:
                 log.warning(
                     "serial baseline for %r did not validate (%s); speedups unavailable",
                     sid,
                     record.status.value,
                 )
-            serial_median = record.median_time_ns
-            baseline_wall = record.run_wall_ns
-            if baseline_wall is None:
-                # Rows written before run_wall_ns existed: a guess that leaves out the input reload.
-                baseline_wall = (serial_median or 0) * config.timing_repeats
-            timeout_s = _candidate_timeout(config, baseline_wall)
+            if record.run_wall_ns is not None:
+                timeout_s = _candidate_timeout(config, record.run_wall_ns)
     return records
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """Aggregated campaign statistics, all JSON-friendly."""
-
-    failure_rate_by_bucket: dict = field(default_factory=dict)
-    category_rates: dict = field(default_factory=dict)
-    speedup_table: dict = field(default_factory=dict)
-    overall_success_rate: float | None = None
-    speedup_vs_hand_optimized: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "failure_rate_by_bucket": self.failure_rate_by_bucket,
-            "category_rates": self.category_rates,
-            "speedup_table": self.speedup_table,
-            "overall_success_rate": self.overall_success_rate,
-        }
-        if self.speedup_vs_hand_optimized:
-            doc["speedup_vs_hand_optimized"] = self.speedup_vs_hand_optimized
-        return doc
-
-
-def _bucket_labels(bounds: tuple[int, ...]) -> list[str]:
-    labels = []
-    low = 0
-    for bound in bounds:
-        labels.append(f"({low},{bound}]")
-        low = bound
-    labels.append(f"({low},inf)")
-    return labels
-
-
-def _bucket_for(lines: int, bounds: tuple[int, ...]) -> str:
-    labels = _bucket_labels(bounds)
-    return next((label for label, bound in zip(labels, bounds) if lines <= bound), labels[-1])
-
-
-def _mean(values: list[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _speedup_map(records: list[OutcomeRecord], value_of) -> dict:
-    """Per-tool {by_strategy: {strategy: mean}, max_mean} over passing records."""
-    by_tool: dict[str, dict[str, list[float]]] = {}
-    for record in records:
-        value = value_of(record)
-        if value is None:
-            continue
-        strategy = record.strategy if record.strategy is not None else "default"
-        by_tool.setdefault(record.tool, {}).setdefault(strategy, []).append(value)
-    table: dict = {}
-    for tool in sorted(by_tool):
-        means = {
-            strategy: _mean(values) for strategy, values in sorted(by_tool[tool].items())
-        }
-        table[tool] = {
-            "by_strategy": means,
-            "max_mean": max(means.values()) if means else None,
-        }
-    return table
-
-
-def aggregate(records: list[OutcomeRecord], config: CampaignConfig) -> Metrics:
-    """Fold outcome records into campaign metrics.
-
-    The serial baseline is excluded everywhere; failure-by-size and the
-    overall success rate cover LLM-origin attempts only.
-    """
-    llm_tools = config.llm_tool_ids
-    tool_records = [r for r in records if r.tool != SERIAL_TOOL_ID]
-    llm_records = [r for r in tool_records if r.tool in llm_tools]
-
-    buckets: dict[str, dict[str, int]] = {}
-    for record in llm_records:
-        label = _bucket_for(record.lines, config.size_buckets)
-        stats = buckets.setdefault(label, {"failures": 0, "attempts": 0})
-        stats["attempts"] += 1
-        if record.status is not ValidationStatus.PASS:
-            stats["failures"] += 1
-    failure_rate_by_bucket = {
-        label: {**buckets[label], "rate": buckets[label]["failures"] / buckets[label]["attempts"]}
-        for label in _bucket_labels(config.size_buckets)
-        if label in buckets
-    }
-
-    category_rates: dict = {}
-    for record in tool_records:
-        strategy = record.strategy if record.strategy is not None else "default"
-        hist = (
-            category_rates.setdefault(record.pattern, {})
-            .setdefault(record.tool, {})
-            .setdefault(strategy, {})
-        )
-        hist[record.category.value] = hist.get(record.category.value, 0) + 1
-
-    speedup_table = _speedup_map(tool_records, lambda r: r.speedup)
-
-    hand_ns: dict[str, int] = {}
-    for job in config.sections:
-        if job.hand_optimized_ns is not None:
-            hand_ns[_job_section_id(job)] = job.hand_optimized_ns
-    speedup_vs_hand = {}
-    if hand_ns:
-        speedup_vs_hand = _speedup_map(
-            tool_records,
-            lambda r: (
-                hand_ns[r.section_id] / r.median_time_ns
-                if r.section_id in hand_ns
-                and r.status is ValidationStatus.PASS
-                and r.median_time_ns
-                else None
-            ),
-        )
-
-    overall = None
-    if llm_records:
-        passes = sum(1 for r in llm_records if r.status is ValidationStatus.PASS)
-        overall = passes / len(llm_records)
-
-    return Metrics(
-        failure_rate_by_bucket=failure_rate_by_bucket,
-        category_rates=category_rates,
-        speedup_table=speedup_table,
-        overall_success_rate=overall,
-        speedup_vs_hand_optimized=speedup_vs_hand,
-    )
-
-
-def _job_section_id(job: SectionJob) -> str | None:
-    """The section id job's manifest names, or None when it cannot be read."""
-    try:
-        return load_manifest_file(job.manifest_path).section_id
-    except (OSError, PcaotError):
-        return None
-
-
-def _ensure_dir(path: Path) -> Path:
-    path = Path(path)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
-    return path
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _records_csv(records: list[OutcomeRecord]) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for record in records:
-        writer.writerow(
-            [
-                record.section_id,
-                record.tool,
-                record.strategy or "",
-                record.attempt if record.attempt is not None else "",
-                record.status.value,
-                record.category.value,
-                ";".join(record.detected),
-                record.lines,
-                record.median_time_ns if record.median_time_ns is not None else "",
-                repr(record.speedup) if record.speedup is not None else "",
-            ]
-        )
-    return buffer.getvalue()
-
-
-def emit_reports(metrics: Metrics, records: list[OutcomeRecord], outdir: Path) -> list[Path]:
-    """Write records.csv, metrics.json and the three SVG charts.
-
-    Byte-deterministic: the same metrics and records always produce
-    identical files.
-    """
-    outdir = _ensure_dir(outdir)
-    csv_path = outdir / "records.csv"
-    _write_text(csv_path, _records_csv(records))
-
-    metrics_path = outdir / "metrics.json"
-    _write_text(
-        metrics_path, json.dumps(metrics.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
-
-    bucket_labels = list(metrics.failure_rate_by_bucket.keys())
-    failure_svg = grouped_bar_chart(
-        title="Failure rate by section size (lines)",
-        ylabel="failure rate",
-        groups=bucket_labels,
-        series=[
-            (
-                "LLM attempts",
-                [metrics.failure_rate_by_bucket[label]["rate"] for label in bucket_labels],
-            )
-        ],
-    )
-    failure_path = outdir / "failure_by_size.svg"
-    _write_text(failure_path, failure_svg)
-
-    patterns = sorted(metrics.category_rates)
-    categories = [c.value for c in OutcomeCategory]
-    series = []
-    for category in categories:
-        values: list[float | None] = []
-        for pattern in patterns:
-            total = 0
-            for tool_hist in metrics.category_rates[pattern].values():
-                for strat_hist in tool_hist.values():
-                    total += strat_hist.get(category, 0)
-            values.append(float(total) if total else None)
-        series.append((category, values))
-    categories_svg = grouped_bar_chart(
-        title="Outcome categories by expected pattern",
-        ylabel="candidates",
-        groups=patterns,
-        series=series,
-    )
-    categories_path = outdir / "pattern_categories.svg"
-    _write_text(categories_path, categories_svg)
-
-    tools = sorted(metrics.speedup_table)
-    strategies = sorted(
-        {s for tool in tools for s in metrics.speedup_table[tool]["by_strategy"]}
-    )
-    speedup_series = [
-        (
-            strategy,
-            [metrics.speedup_table[tool]["by_strategy"].get(strategy) for tool in tools],
-        )
-        for strategy in strategies
-    ]
-    speedups_svg = grouped_bar_chart(
-        title="Mean speedup over serial (passing candidates)",
-        ylabel="speedup",
-        groups=tools,
-        series=speedup_series,
-    )
-    speedups_path = outdir / "speedups.svg"
-    _write_text(speedups_path, speedups_svg)
-
-    return [csv_path, metrics_path, failure_path, categories_path, speedups_path]
-
-
-def _as_path(base: Path, value: str) -> Path:
-    candidate = Path(value)
-    return candidate if candidate.is_absolute() else base / candidate
-
-
-def _present(doc: dict, *keys: str) -> dict:
-    """The entries of doc named by keys; absent ones keep their dataclass default."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"expected a JSON object with {', '.join(keys)}, got {doc!r}")
-    return {key: doc[key] for key in keys if key in doc}
-
-
-def _parse_llm_backend(doc, base: Path) -> MockLlm | LlmEndpointConfig:
-    if not isinstance(doc, dict) or not isinstance(doc.get("tool_id"), str) or not doc["tool_id"]:
-        raise ParseError("llm backend entries must be objects with a tool_id")
-    kind = doc.get("kind", "llm")
-    if kind == "mock":
-        responses = doc.get("responses", {})
-        files = doc.get("response_files", {})
-        if not (
-            isinstance(responses, dict)
-            and isinstance(files, dict)
-            and all(isinstance(v, str) for v in (*responses.values(), *files.values()))
-        ):
-            raise ParseError("mock responses and response_files must map keys to strings")
-        responses = dict(responses)
-        for section_key, rel in files.items():
-            try:
-                responses[section_key] = _as_path(base, rel).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ParseError(f"cannot read mock response file {rel!r}: {exc}") from exc
-        return MockLlm(tool_id=doc["tool_id"], responses=responses)
-    if kind in ("llm", "http"):
-        if not isinstance(doc.get("endpoint"), str) or not isinstance(doc.get("model"), str):
-            raise ParseError("http llm backends need endpoint and model")
-        params = SamplingParams(model=doc["model"], **_present(doc, "temperature", "top_p"))
-        return LlmEndpointConfig(tool_id=doc["tool_id"], endpoint=doc["endpoint"], params=params)
-    raise ParseError(f"unknown llm backend kind {kind!r}")
-
-
-def _parse_compiler_backend(doc) -> CompilerDriverConfig:
-    if not isinstance(doc, dict) or not all(
-        isinstance(doc.get(key), str) for key in ("tool_id", "command")
-    ):
-        raise ParseError("compiler backend entries must be objects with tool_id and command")
-    return CompilerDriverConfig(**_present(doc, "tool_id", "command", "output_path"))
-
-
-def _list(doc: dict, key: str) -> list:
-    """doc[key], which must be a JSON list; an empty one when absent."""
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise ParseError(f"{key} must be a JSON list")
-    return value
-
-
-def load_campaign_config(path: Path) -> CampaignConfig:
-    """Parse a campaign config JSON file; paths resolve against its directory.
-
-    Only the settings the document names are passed on, so every default
-    lives in its dataclass.
-    """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read campaign config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"campaign config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("campaign config root must be a JSON object")
-    base = path.parent
-
-    jobs = []
-    for entry in _list(doc, "sections"):
-        if not isinstance(entry, dict) or "source" not in entry or "manifest" not in entry:
-            raise ParseError("each section entry needs source and manifest paths")
-        for key in ("source", "manifest", "support_code", "support_code_path"):
-            if key in entry and not isinstance(entry[key], str):
-                raise ParseError(f"section {key} must be a string")
-        support = entry.get("support_code", "")
-        if "support_code_path" in entry:
-            try:
-                support = _as_path(base, entry["support_code_path"]).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ParseError(f"cannot read support code: {exc}") from exc
-        jobs.append(
-            SectionJob(
-                source_path=_as_path(base, entry["source"]),
-                manifest_path=_as_path(base, entry["manifest"]),
-                support_code=support,
-                hand_optimized_ns=entry.get("hand_optimized_ns"),
-            )
-        )
-
-    settings = _present(doc, "attempts", "timing_repeats", "threads", "timeout_s", "max_inflight")
-    if "strategies" in doc:
-        strategies = _list(doc, "strategies")
-        try:
-            settings["strategies"] = tuple(PromptStrategy(s) for s in strategies)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"unknown prompt strategy: {exc}") from exc
-    if "size_buckets" in doc:
-        settings["size_buckets"] = tuple(_list(doc, "size_buckets"))
-    if "tolerance" in doc:
-        settings["tolerance"] = Tolerance(**_present(doc["tolerance"], "abs", "rel"))
-    if "build" in doc:
-        build_doc = doc["build"]
-        build_settings = _present(build_doc, "compiler_cmd")
-        if "flags" in build_doc:
-            if not isinstance(build_doc["flags"], list):
-                raise ParseError("build flags must be a list of strings")
-            build_settings["flags"] = tuple(build_doc["flags"])
-        settings["build"] = BuildSpec(**build_settings)
-
-    return CampaignConfig(
-        sections=tuple(jobs),
-        llm_backends=tuple(_parse_llm_backend(b, base) for b in _list(doc, "llm_backends")),
-        compiler_backends=tuple(
-            _parse_compiler_backend(b) for b in _list(doc, "compiler_backends")
-        ),
-        **settings,
-    )

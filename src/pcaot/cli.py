@@ -26,23 +26,19 @@ from dataclasses import replace
 from pathlib import Path
 
 from .campaign import (
-    CampaignConfig,
     CaptureFailure,
     OutcomeRecord,
-    SectionJob,
-    _job_section_id,
     _load_jsonl,
     _load_section,
-    aggregate,
     capture_section,
-    emit_reports,
     execute,
-    load_campaign_config,
     plan,
     produce_candidates,
 )
+from .config import CampaignConfig, SectionJob, _job_section_id, load_campaign_config
 from .errors import PcaotError, UsageError
 from .pattern import ValidationStatus
+from .report import aggregate, emit_reports
 
 log = logging.getLogger("pcaot")
 

@@ -14,23 +14,13 @@ from hypothesis import strategies as st
 
 from pcaot import campaign, runner
 from pcaot.backends import CompilerDriverConfig, MockLlm, PromptStrategy, extract_code
-from pcaot.campaign import (
-    CampaignConfig,
-    EmptyCampaign,
-    Metrics,
-    OutcomeRecord,
-    SectionJob,
-    aggregate,
-    emit_reports,
-    execute,
-    load_campaign_config,
-    plan,
-    produce_candidates,
-)
+from pcaot.campaign import EmptyCampaign, OutcomeRecord, execute, plan, produce_candidates
 from pcaot.cli import main
+from pcaot.config import CampaignConfig, SectionJob, load_campaign_config
 from pcaot.errors import ParseError
 from pcaot.instrument import SourceKind
 from pcaot.pattern import OutcomeCategory, ValidationStatus
+from pcaot.report import Metrics, aggregate, emit_reports
 from pcaot.runner import BuildSpec, run
 from pcaot.sections import extract_sections
 
@@ -1196,6 +1186,66 @@ def test_resume_gives_candidates_the_fresh_timeout(tmp_path, monkeypatch):
     execute(plan(config), config, outdir)
     assert len(timeouts) == 2
     assert timeouts[1] == timeouts[0]
+
+
+# The body adds to the total it finds, but the manifest gives total no input:
+# the replay starts it from zero, so the serial is a NumericMismatch.
+ACCUMULATING_SOURCE = SECTION_SOURCE.replace("-1.0;", "1000.0;").replace("    total = 0.0;\n", "")
+FROM_1000 = GOOD.replace("total = 0.0;", "total = 1000.0;")
+
+
+@needs_gcc
+def test_no_speedup_over_a_serial_that_did_not_pass(tmp_path):
+    job = _write_section(tmp_path)
+    (tmp_path / "tiny.c").write_text(ACCUMULATING_SOURCE)
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"tiny": FROM_1000}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    serial, candidate = records
+    assert serial.status is ValidationStatus.NUMERIC_MISMATCH
+    assert serial.median_time_ns is not None
+    assert candidate.status is ValidationStatus.PASS
+    assert candidate.speedup is None
+    assert aggregate(records, config).speedup_table == {}
+
+
+@needs_gcc
+def test_candidates_keep_the_capture_timeout_when_the_serial_did_not_run(tmp_path, monkeypatch):
+    # N is defined outside the section: the capture compiles, the serial's driver does not.
+    monkeypatch.setattr(campaign, "TIMEOUT_FLOOR_S", 0.0)
+    runs = []
+    real_run = campaign.run
+
+    def recording_run(binary, timeout_s=60.0, env=None, args=()):
+        result = real_run(binary, timeout_s=timeout_s, env=env, args=args)
+        runs.append((Path(binary).name, timeout_s, result.wall_time_ns))
+        return result
+
+    monkeypatch.setattr(campaign, "run", recording_run)
+    job = _write_section(tmp_path)
+    source = SECTION_SOURCE.replace("int main", "#define N 512\n\nint main")
+    (tmp_path / "tiny.c").write_text(source.replace("i < 512; i++) {", "i < N; i++) {"))
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"tiny": GOOD}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    serial, candidate = execute(plan(config), config, tmp_path / "out")
+    assert serial.status is ValidationStatus.COMPILE_ERROR and serial.run_wall_ns is None
+    assert candidate.status is ValidationStatus.PASS
+    (capture_wall,) = [wall for name, _, wall in runs if name == "capture"]
+    assert [t for name, t, _ in runs if name == "driver"] == [
+        campaign.TIMEOUT_FACTOR * capture_wall / 1e9
+    ]
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
