@@ -113,7 +113,7 @@ class CaptureFailure(PcaotError):
 
 
 class ReservedName(PcaotError):
-    """Candidate code uses a name reserved for the replay driver, or ##; it is not built."""
+    """Code other than the section's own uses a name reserved for the replay driver, or ##."""
 
 
 @dataclass(frozen=True)
@@ -503,7 +503,7 @@ def _candidate_timeout(config: CampaignConfig, baseline_wall_ns: int) -> float:
 
 
 def _validate_code(
-    driver: GeneratedSource | PcaotError,
+    driver: GeneratedSource | ReservedName,
     argv: tuple[str, ...],
     code: str,
     ctx: _SectionContext,
@@ -514,16 +514,17 @@ def _validate_code(
     """Build, run, time and compare one version's replay driver.
 
     The driver runs with argv, which selects the version's body, written to
-    driver.args next to it.  A driver that is a PcaotError (it did not
-    generate, or the code was rejected) is a CompileError, as is a failed
+    driver.args next to it.  A driver that is a ReservedName (_SectionDrivers
+    rejected the code) is a CompileError without a build, as is a failed
     build.  A scratch that cannot take the driver's files, driver.args or
     the captured input (an OSError) is a RuntimeError, logged with the path.
-    Code with no OpenMP directive runs with OMP_PROC_BIND=false: a driver
-    that links libgomp would otherwise pin its one thread to one CPU.
+    Code with no OpenMP directive and no _Pragma, outside comments and
+    strings, runs with OMP_PROC_BIND=false: a driver that links libgomp
+    would otherwise pin its one thread to one CPU.
     Returns (status, median_ns, run_wall_ns); run_wall_ns is None when the
     driver did not run."""
     try:
-        if isinstance(driver, PcaotError):
+        if isinstance(driver, ReservedName):
             raise driver
         binary = build(driver, replace(config.build, workdir=scratch))
         (scratch / "driver.args").write_text(" ".join(argv) + "\n", encoding="utf-8")
@@ -537,7 +538,7 @@ def _validate_code(
         log.warning("cannot prepare %s: %s", scratch, exc)
         return (ValidationStatus.RUNTIME_ERROR, None, None)
     env = {"OMP_NUM_THREADS": str(config.threads)}
-    if not (has_any_directive(code) or "_Pragma" in code):
+    if not (has_any_directive(code) or "_Pragma" in _strip_comments_and_strings(code)):
         env["OMP_PROC_BIND"] = "false"
     try:
         result = run(binary, timeout_s=timeout_s, env=env, args=argv)
@@ -596,17 +597,14 @@ def _make_record(
 _RESERVED_RE = re.compile(r"\b(?:pcaot|PCAOT)_\w*|##")
 
 
-def _check_candidate_names(code: str) -> None:
-    """Raise ReservedName when code uses a reserved name outside comments and strings."""
-    match = _RESERVED_RE.search(_strip_comments_and_strings(code))
-    if match is not None:
-        raise ReservedName(f"candidate code uses reserved {match.group()!r}")
-
-
 class _SectionDrivers:
     """The replay drivers of one section's versions, and which body each runs.
 
-    Every body that can_share_driver accepts goes in one section driver,
+    The one place that decides whether a body runs: a body other than the
+    section's own code that names a reserved identifier (_RESERVED_RE)
+    outside comments and strings gets a ReservedName entry, and nothing is
+    generated, queued or written for it.  Of the other bodies,
+    every one that can_share_driver accepts goes in one section driver,
     when there are at least two; each other body gets a one-body driver.
     When a section driver does not compile, the bodies that gcc's error:
     lines name get one-body drivers and the rest a new section driver; when
@@ -624,26 +622,31 @@ class _SectionDrivers:
     is written after its driver's compile is queued.
     """
 
-    def __init__(self, manifest: StateManifest, config: CampaignConfig, support_code: str) -> None:
-        self._manifest = manifest
+    def __init__(self, ctx: _SectionContext, config: CampaignConfig) -> None:
+        self._ctx = ctx
         self._config = config
-        self._support_code = support_code
         self._workdirs: dict[str, Path] = {}
-        # body -> its current driver (or what stopped its generation) and the argv selecting it
-        self._drivers: dict[str, tuple[GeneratedSource | PcaotError, tuple[str, ...]]] = {}
+        # body -> its current driver (or why it was rejected) and the argv selecting it
+        self._drivers: dict[str, tuple[GeneratedSource | ReservedName, tuple[str, ...]]] = {}
 
     def queue(self, workdirs: dict[str, Path]) -> None:
-        """Queue a driver for each body; workdirs gives each body its first version's directory."""
+        """Reject or queue each body; workdirs gives each body its first version's directory."""
         self._workdirs = workdirs
-        shared = [body for body in workdirs if can_share_driver(body)]
+        for body in workdirs:
+            match = _RESERVED_RE.search(_strip_comments_and_strings(body))
+            if match is not None and body != self._ctx.section.body_text:
+                reason = ReservedName(f"candidate code uses reserved {match.group()!r}")
+                self._drivers[body] = (reason, ())
+        runnable = [body for body in workdirs if body not in self._drivers]
+        shared = [body for body in runnable if can_share_driver(body)]
         if len(shared) < 2:
             shared = []
         self._start(shared, split=True)
-        for body in workdirs:
+        for body in runnable:
             if body not in shared:
                 self._start([body])
 
-    def driver(self, body: str) -> tuple[GeneratedSource | PcaotError, tuple[str, ...]]:
+    def driver(self, body: str) -> tuple[GeneratedSource | ReservedName, tuple[str, ...]]:
         """The driver a body ends up in and the argv that runs it, once no compile is pending."""
         wait_idle()
         return self._drivers[body]
@@ -652,13 +655,9 @@ class _SectionDrivers:
         # One driver for bodies; _failed(bodies, failure, split) if it holds several and fails.
         if not bodies:
             return
-        try:
-            driver = generate_replay_driver(
-                bodies, self._manifest, self._config.timing_repeats, self._support_code
-            )
-        except PcaotError as exc:
-            self._drivers.update((body, (exc, ())) for body in bodies)
-            return
+        driver = generate_replay_driver(
+            bodies, self._ctx.manifest, self._config.timing_repeats, self._ctx.job.support_code
+        )
         alone = len(bodies) == 1
         for k, body in enumerate(bodies):
             self._drivers[body] = (driver, (str(k),))
@@ -690,15 +689,13 @@ def _queue_section(
     experiment: ExperimentPlan,
     rows: dict[tuple, CandidateRow],
     existing: dict[tuple, OutcomeRecord],
-) -> tuple[list[tuple[Origin, str | None, ReservedName | None]], _SectionDrivers]:
+) -> tuple[list[tuple[Origin, str | None]], _SectionDrivers]:
     """Queue a loaded section's compiles, and return its versions and drivers.
 
-    Each version, serial first, is (origin, code, rejection).  rejection is
-    the ReservedName error of candidate code that names a reserved
-    identifier outside comments and strings; that code is neither generated
-    nor built.  The body of every other version with code and no record is
-    queued in the section's drivers, and the capture when any version has
-    no record.  Raises CaptureFailure when its capture cannot be queued.
+    Each version, serial first, is (origin, code).  The body of every
+    version with code and no record goes to the section's drivers, which
+    reject or queue it, and the capture is queued when any version has no
+    record.  Raises CaptureFailure when its capture cannot be queued.
     """
     sid = ctx.manifest.section_id
     versions = []
@@ -707,21 +704,15 @@ def _queue_section(
         row = rows.get(_key(sid, origin))
         is_serial = origin.tool_id == SERIAL_TOOL_ID
         code = ctx.section.body_text if is_serial else (row.code if row is not None else None)
-        rejection = None
         if code is not None and _key(sid, origin) not in existing:
-            try:
-                if not is_serial:
-                    _check_candidate_names(code)
-                workdirs.setdefault(code, _version_dir(outdir, sid, origin))
-            except ReservedName as exc:
-                rejection = exc
-        versions.append((origin, code, rejection))
-    if any(_key(sid, origin) not in existing for origin, _, _ in versions):
+            workdirs.setdefault(code, _version_dir(outdir, sid, origin))
+        versions.append((origin, code))
+    if any(_key(sid, origin) not in existing for origin, _ in versions):
         try:
             start_build(ctx.capture, replace(config.build, workdir=_capture_dir(outdir, sid)))
         except OSError as exc:
             raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
-    drivers = _SectionDrivers(ctx.manifest, config, ctx.job.support_code)
+    drivers = _SectionDrivers(ctx, config)
     drivers.queue(workdirs)
     return versions, drivers
 
@@ -759,7 +750,7 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
 
     for ctx, versions, drivers in queued:
         sid = ctx.manifest.section_id
-        recorded = [existing.get(_key(sid, origin)) for origin, _, _ in versions]
+        recorded = [existing.get(_key(sid, origin)) for origin, _ in versions]
         if None not in recorded:
             records.extend(recorded)
             continue
@@ -770,12 +761,12 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
             continue
         serial_median = None
         timeout_s = _candidate_timeout(config, ctx.capture_wall_ns)
-        for (origin, code, rejection), record in zip(versions, recorded):
+        for (origin, code), record in zip(versions, recorded):
             is_serial = origin.tool_id == SERIAL_TOOL_ID
             if record is None:
                 status, median, wall = ValidationStatus.EXTRACTION_ERROR, None, None
                 if code is not None:
-                    driver, argv = drivers.driver(code) if rejection is None else (rejection, ())
+                    driver, argv = drivers.driver(code)
                     scratch = _version_dir(outdir, sid, origin)
                     status, median, wall = _validate_code(
                         driver, argv, code, ctx, config, scratch, timeout_s

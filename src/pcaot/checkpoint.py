@@ -305,24 +305,18 @@ def compare(
             if abs_err.size:
                 worst_abs = max(worst_abs, float(abs_err.max()))
                 worst_rel = max(worst_rel, float(rel_err.max()))
-            if failing.any():
-                fail_idx = np.flatnonzero(failing)
-                best = fail_idx[int(np.argmax(abs_err[fail_idx]))]
-                if float(abs_err[best]) > offender_err:
-                    offender_err = float(abs_err[best])
-                    offender = (var.name, int(best))
         else:
             failing = ref_vals != cand_vals
-            if failing.any():
-                diff = np.abs(
-                    ref_vals.astype(np.float64, copy=False)
-                    - cand_vals.astype(np.float64, copy=False)
-                )
-                fail_idx = np.flatnonzero(failing)
-                best = fail_idx[int(np.argmax(diff[fail_idx]))]
-                if float(diff[best]) > offender_err:
-                    offender_err = float(diff[best])
-                    offender = (var.name, int(best))
+            abs_err = np.abs(
+                ref_vals.astype(np.float64, copy=False)
+                - cand_vals.astype(np.float64, copy=False)
+            )
+        if failing.any():
+            fail_idx = np.flatnonzero(failing)
+            best = fail_idx[int(np.argmax(abs_err[fail_idx]))]
+            if float(abs_err[best]) > offender_err:
+                offender_err = float(abs_err[best])
+                offender = (var.name, int(best))
 
     if offender is not None:
         return ComparisonReport(

@@ -53,10 +53,6 @@ class UnknownSection(PcaotError):
     """The section to instrument is not present in the given source."""
 
 
-class UnsupportedType(PcaotError):
-    """A manifest variable's element type has no C mapping."""
-
-
 class SourceKind(Enum):
     CAPTURE_PROGRAM = "capture"
     REPLAY_DRIVER = "driver"
@@ -197,13 +193,6 @@ void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
 void pcaot_ckpt_close(FILE *f);"""
 
 
-def _ctype(var: VariableSpec) -> str:
-    try:
-        return C_TYPES[var.elem_type]
-    except KeyError:
-        raise UnsupportedType(f"variable {var.name!r}: no C type for {var.elem_type!r}") from None
-
-
 def _data_expr(var: VariableSpec) -> str:
     # Scalars need their address taken; arrays and heap pointers decay.
     return f"&({var.name})" if var.is_scalar else f"({var.name})"
@@ -254,10 +243,9 @@ def generate_capture_program(
     The helper block goes at the top of the file; the input dump (skipped
     when the manifest has no in/inout variables) right after the start
     pragma; the output dump right before the stop pragma.  Raises
-    UnknownSection if the section does not match the source.
+    UnknownSection if the section does not match the source; every manifest
+    variable has a C type (C_TYPES), so nothing else is rejected.
     """
-    for var in manifest.variables:
-        _ctype(var)
     if manifest.section_id != section.id:
         raise UnknownSection(
             f"manifest describes section {manifest.section_id!r}, got {section.id!r}"
@@ -305,7 +293,7 @@ def capture_insertion_line_count(manifest: StateManifest) -> int:
 
 
 def _declaration_lines(var: VariableSpec) -> list[str]:
-    ctype = _ctype(var)
+    ctype = C_TYPES[var.elem_type]
     if var.is_scalar:
         return [f"    {ctype} {var.name};"]
     dims = "".join(f"[{e}]" for e in var.extents)
@@ -350,15 +338,14 @@ def generate_replay_driver(
     top-level break or continue ends the body and not the repeat, after a
     #line 1 "pcaot_body_<k>.c" marker that makes gcc name the body in its
     diagnostics (bodies_named_in).  Only bodies that can_share_driver
-    accepts belong in a driver with others.
+    accepts belong in a driver with others.  Every manifest variable has a
+    C type (C_TYPES), so it raises no PcaotError.
     """
     bodies = [section_body] if isinstance(section_body, str) else list(section_body)
     if not bodies:
         raise ValueError("a replay driver needs at least one body")
     if timing_repeats < 1:
         raise ValueError("timing_repeats must be at least 1")
-    for var in manifest.variables:
-        _ctype(var)
     sid = manifest.section_id
 
     lines: list[str] = [

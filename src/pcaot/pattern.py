@@ -67,10 +67,8 @@ class OutcomeCategory(Enum):
 class DirectiveInfo:
     """One OpenMP directive: kind, parsed clauses, lexical position."""
 
-    line: int
     kind: DirectiveKind
     clauses: tuple[tuple[str, str], ...]
-    nesting_depth: int
     # Character offsets into the scanned text, for structure queries.
     start_offset: int = 0
     end_offset: int = 0
@@ -136,14 +134,13 @@ def _strip_comments_and_strings(code: str) -> str:
     return "".join(out)
 
 
-def _logical_pragma_spans(stripped: str) -> list[tuple[int, int, int, str]]:
-    """(start_offset, end_offset, line, text) for each #pragma omp line,
+def _logical_pragma_spans(stripped: str) -> list[tuple[int, int, str]]:
+    """(start_offset, end_offset, text) for each #pragma omp line,
     with backslash continuations folded in."""
     spans = []
     offset = 0
     lines = stripped.split("\n")
     i = 0
-    lineno = 1
     while i < len(lines):
         line = lines[i]
         start = offset
@@ -157,13 +154,11 @@ def _logical_pragma_spans(stripped: str) -> list[tuple[int, int, int, str]]:
             after_hash = body[1:].lstrip()
             if re.match(r"pragma\s+omp\b", after_hash):
                 end = offset + sum(len(lines[i + k]) + 1 for k in range(consumed)) - 1
-                spans.append((start, end, lineno, after_hash[len("pragma") :].lstrip()))
+                spans.append((start, end, after_hash[len("pragma") :].lstrip()))
                 offset = end + 1
-                lineno += consumed
                 i += consumed
                 continue
         offset += len(line) + 1
-        lineno += 1
         i += 1
     return spans
 
@@ -204,10 +199,14 @@ def _parse_clauses(text: str) -> tuple[tuple[str, str], ...]:
 
 
 def scan_directives(code: str) -> list[DirectiveInfo]:
-    """Find all OpenMP directives with kind, clauses and brace depth."""
-    stripped = _strip_comments_and_strings(code)
+    """Find all OpenMP directives with kind, clauses and offsets."""
+    return _scan(_strip_comments_and_strings(code))
+
+
+def _scan(stripped: str) -> list[DirectiveInfo]:
+    # scan_directives for code whose comments and strings are already blanked.
     directives = []
-    for start, end, lineno, after_pragma in _logical_pragma_spans(stripped):
+    for start, end, after_pragma in _logical_pragma_spans(stripped):
         rest = after_pragma[len("omp") :].strip()
         tokens = rest.split()
         if tokens and tokens[0] == "parallel":
@@ -223,13 +222,10 @@ def scan_directives(code: str) -> list[DirectiveInfo]:
         else:
             kind = DirectiveKind.OTHER
             clause_text = rest.split(None, 1)[1] if len(tokens) > 1 else ""
-        depth = stripped.count("{", 0, start) - stripped.count("}", 0, start)
         directives.append(
             DirectiveInfo(
-                line=lineno,
                 kind=kind,
                 clauses=_parse_clauses(clause_text),
-                nesting_depth=depth,
                 start_offset=start,
                 end_offset=end,
             )
@@ -311,7 +307,7 @@ def _next_loop(loops: list[_Loop], offset: int) -> _Loop | None:
     return min(after, key=lambda l: l.header_offset) if after else None
 
 
-def _region_span(stripped: str, directive: DirectiveInfo, loops: list[_Loop]) -> tuple[int, int]:
+def _region_span(stripped: str, directive: DirectiveInfo) -> tuple[int, int]:
     """Lexical extent of the code a parallel directive governs."""
     pos = directive.end_offset + 1
     n = len(stripped)
@@ -340,7 +336,7 @@ def detect(code: str) -> set[PatternLabel]:
     Purely lexical and deterministic; an empty set means none.
     """
     stripped = _strip_comments_and_strings(code)
-    directives = scan_directives(code)
+    directives = _scan(stripped)
     labels: set[PatternLabel] = set()
     if not directives:
         return labels
@@ -351,7 +347,7 @@ def detect(code: str) -> set[PatternLabel]:
     parallel_regions = []
     for directive in directives:
         if directive.kind is DirectiveKind.PARALLEL:
-            parallel_regions.append((directive, _region_span(stripped, directive, loops)))
+            parallel_regions.append((directive, _region_span(stripped, directive)))
 
     def region_fors(span: tuple[int, int]) -> list[DirectiveInfo]:
         return [

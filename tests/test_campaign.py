@@ -607,8 +607,21 @@ MENTIONS = _summing("    /* pcaot_ns, PCAOT_TIME_NS */ (void)\"pcaot_rep ##\";\n
 
 
 @needs_gcc
-def test_reserved_names_in_candidate_code_are_not_a_pass(tmp_path, caplog):
+def test_reserved_names_in_candidate_code_are_not_a_pass(tmp_path, caplog, monkeypatch):
     caplog.set_level(logging.DEBUG, logger="pcaot")
+    generated, built = [], []
+    real_generate, real_start = campaign.generate_replay_driver, campaign.start_build
+
+    def counting_generate(bodies, *args, **kwargs):
+        generated.append(list(bodies))
+        return real_generate(bodies, *args, **kwargs)
+
+    def counting_start(source, *args, **kwargs):
+        built.append(source.text)
+        return real_start(source, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "generate_replay_driver", counting_generate)
+    monkeypatch.setattr(campaign, "start_build", counting_start)
     mock = CountingMock("mock", {
         "tiny/IP/1": FORGED_NS,
         "tiny/IP/2": FORGED_REP,
@@ -637,6 +650,37 @@ def test_reserved_names_in_candidate_code_are_not_a_pass(tmp_path, caplog):
     assert by_attempt[4].speedup is not None
     for name in ("'pcaot_ns'", "'pcaot_rep'", "'##'"):
         assert f"reserved {name}" in caplog.text
+    # The serial and MENTIONS share one driver; the capture is the other compile.
+    (serial,) = (s.body_text for s in extract_sections(SECTION_SOURCE, "tiny.c"))
+    assert generated == [[serial, extract_code(MENTIONS)]]
+    assert len(built) == 2
+    for forged in (FORGED_NS, FORGED_REP, FORGED_PASTE):
+        assert all(extract_code(forged) not in text for text in built)
+
+
+@needs_gcc
+def test_the_sections_own_code_may_use_a_reserved_name(tmp_path):
+    tiny = "    total = 0.0;\n    for (i = 0; i < 512; i++) {\n        total += v[i];\n    }\n"
+    own = "    double pcaot_tmp = 0.0;\n    for (i = 0; i < 512; i++) pcaot_tmp += v[i];\n    total = pcaot_tmp;\n"
+    job = _write_section(tmp_path)
+    job.source_path.write_text(SECTION_SOURCE.replace(tiny, own))
+    identity = f"```c\n{own}```"
+    (section,) = extract_sections(job.source_path.read_text(), "tiny.c")
+    assert extract_code(identity) == section.body_text
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"tiny": identity}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    # Only code other than the section's own is held to the name rule.
+    assert [(r.tool, r.status) for r in records] == [
+        ("serial", ValidationStatus.PASS),
+        ("mock", ValidationStatus.PASS),
+    ]
 
 
 # The right sum, then two bytes that are not UTF-8 on stdout.
@@ -1097,6 +1141,38 @@ def test_serial_code_is_not_pinned_in_a_driver_that_links_libgomp(tmp_path, monk
     assert int(out.record("ncpu").values()) == len(os.sched_getaffinity(0))
     assert envs["serial"]["OMP_PROC_BIND"] == "false"
     # The OpenMP candidate keeps runner.OMP_PLACEMENT.
+    assert "OMP_PROC_BIND" not in envs["mock__IP__1"]
+
+
+# The right sum; its only _Pragma sits in a comment.
+PRAGMA_IN_COMMENT = _summing('    /* _Pragma("omp parallel") */\n')
+
+
+@needs_gcc
+def test_a_pragma_in_a_comment_does_not_keep_code_pinned(tmp_path, monkeypatch):
+    envs = {}
+    real_run = campaign.run
+
+    def recording_run(binary, timeout_s=60.0, env=None, args=()):
+        envs[Path(binary).parent.name] = env
+        return real_run(binary, timeout_s=timeout_s, env=env, args=args)
+
+    monkeypatch.setattr(campaign, "run", recording_run)
+    config = CampaignConfig(
+        sections=(_write_section(tmp_path),),
+        llm_backends=(CountingMock("mock", {"tiny/IP/1": GOOD, "tiny/IP/2": PRAGMA_IN_COMMENT}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=2,
+        timing_repeats=1,
+        threads=2,
+    )
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert [r.status for r in records] == [ValidationStatus.PASS] * 3
+    # All three bodies share one driver, which links libgomp for GOOD.
+    assert b"libgomp" in (outdir / "sections" / "tiny" / "serial" / "driver").read_bytes()
+    assert envs["serial"]["OMP_PROC_BIND"] == "false"
+    assert envs["mock__IP__2"]["OMP_PROC_BIND"] == "false"
     assert "OMP_PROC_BIND" not in envs["mock__IP__1"]
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcaot.checkpoint import (
+    NUMPY_DTYPES,
+    TYPE_TAGS,
     Checkpoint,
     ComparisonStatus,
     Tolerance,
@@ -17,6 +19,7 @@ from pcaot.checkpoint import (
     read_checkpoint_file,
 )
 from pcaot.instrument import (
+    C_TYPES,
     HELPER_DECLS,
     HELPER_SOURCE,
     STACK_ARRAY_LIMIT,
@@ -31,7 +34,7 @@ from pcaot.instrument import (
     output_checkpoint_name,
 )
 from pcaot.runner import BuildSpec, CompileFailure, build, collect_timing, run
-from pcaot.sections import StateManifest, VariableSpec, extract_sections
+from pcaot.sections import ELEM_TYPES, StateManifest, VariableSpec, extract_sections
 
 from conftest import needs_gcc
 
@@ -109,6 +112,12 @@ def test_capture_rejects_foreign_section():
     )
     with pytest.raises(UnknownSection):
         generate_capture_program(SCALAR_SOURCE, section, other)
+
+
+def test_every_element_type_has_a_c_type_a_tag_and_a_dtype():
+    # VariableSpec admits only ELEM_TYPES, so the generators need no type check of their own.
+    for table in (C_TYPES, TYPE_TAGS, NUMPY_DTYPES):
+        assert sorted(table) == sorted(ELEM_TYPES)
 
 
 def test_driver_declarations_stack_vs_heap():
