@@ -72,6 +72,7 @@ from .instrument import (
     generate_replay_driver,
     input_checkpoint_name,
     output_checkpoint_name,
+    reserved_name_in,
 )
 from .pattern import (
     OutcomeCategory,
@@ -593,16 +594,12 @@ def _make_record(
     )
 
 
-# An identifier of the replay driver's own state, or token pasting that could spell one.
-_RESERVED_RE = re.compile(r"\b(?:pcaot|PCAOT)_\w*|##")
-
-
 class _SectionDrivers:
     """The replay drivers of one section's versions, and which body each runs.
 
     The one place that decides whether a body runs: a body other than the
-    section's own code that names a reserved identifier (_RESERVED_RE)
-    outside comments and strings gets a ReservedName entry, and nothing is
+    section's own code that names a reserved identifier outside comments
+    and strings (reserved_name_in) gets a ReservedName entry, and nothing is
     generated, queued or written for it.  Of the other bodies,
     every one that can_share_driver accepts goes in one section driver,
     when there are at least two; each other body gets a one-body driver.
@@ -633,9 +630,9 @@ class _SectionDrivers:
         """Reject or queue each body; workdirs gives each body its first version's directory."""
         self._workdirs = workdirs
         for body in workdirs:
-            match = _RESERVED_RE.search(_strip_comments_and_strings(body))
-            if match is not None and body != self._ctx.section.body_text:
-                reason = ReservedName(f"candidate code uses reserved {match.group()!r}")
+            name = reserved_name_in(body)
+            if name is not None and body != self._ctx.section.body_text:
+                reason = ReservedName(f"candidate code uses reserved {name!r}")
                 self._drivers[body] = (reason, ())
         runnable = [body for body in workdirs if body not in self._drivers]
         shared = [body for body in runnable if can_share_driver(body)]

@@ -23,10 +23,11 @@ version.  The generators:
   resulting output checkpoint.  Each body sits inside do { } while (0)
   between its own two clock reads, behind a #line marker that makes gcc
   name the body in its errors (bodies_named_in).  can_share_driver says
-  which bodies can go in a driver with others.
+  which bodies can go in a driver with others, and reserved_name_in which
+  code names the driver's own state.
 
-Arrays above 64 KiB are heap-allocated in drivers so large sections do not
-blow the stack; smaller ones keep plain array declarations.
+Drivers declare every array static, the timing buffer too, so no size meets a
+stack limit, and sizeof, &a and whole-array OpenMP clauses hold at any size.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import PcaotError
 from .pattern import _strip_comments_and_strings
 from .sections import ExperimentalSection, StateManifest, VariableSpec, extract_sections
 
-STACK_ARRAY_LIMIT = 64 * 1024
 TIMING_LINE_PREFIX = "PCAOT_TIME_NS"
 # Body k of a replay driver is, to gcc, the file pcaot_body_<k>.c (its #line marker).
 BODY_PREFIX = "pcaot_body_"
@@ -194,7 +194,7 @@ void pcaot_ckpt_close(FILE *f);"""
 
 
 def _data_expr(var: VariableSpec) -> str:
-    # Scalars need their address taken; arrays and heap pointers decay.
+    # Scalars need their address taken; arrays decay (a capture's variable may be a pointer).
     return f"&({var.name})" if var.is_scalar else f"({var.name})"
 
 
@@ -292,27 +292,17 @@ def capture_insertion_line_count(manifest: StateManifest) -> int:
     return helper_lines + in_dump + out_dump
 
 
-def _declaration_lines(var: VariableSpec) -> list[str]:
-    ctype = C_TYPES[var.elem_type]
-    if var.is_scalar:
-        return [f"    {ctype} {var.name};"]
+def _declaration(var: VariableSpec) -> str:
+    # Arrays are static whatever their size; scalars, which have no extents, stay automatic.
+    storage = "" if var.is_scalar else "static "
     dims = "".join(f"[{e}]" for e in var.extents)
-    if var.byte_size <= STACK_ARRAY_LIMIT:
-        return [f"    {ctype} {var.name}{dims};"]
-    # Heap allocation keeps the a[i][j] access syntax via a row-pointer type.
-    tail = "".join(f"[{e}]" for e in var.extents[1:])
-    return [
-        f"    {ctype} (*{var.name}){tail} = ({ctype} (*){tail})malloc(sizeof({ctype}{dims}));"
-        if tail
-        else f"    {ctype} *{var.name} = ({ctype} *)malloc(sizeof({ctype}{dims}));",
-        f"    if ({var.name} == NULL) pcaot_die(\"out of memory\");",
-    ]
+    return f"    {storage}{C_TYPES[var.elem_type]} {var.name}{dims};"
 
 
-def _zero_lines(var: VariableSpec) -> list[str]:
+def _zero(var: VariableSpec) -> str:
     if var.is_scalar:
-        return [f"        {var.name} = 0;"]
-    return [f"        memset((void *)({var.name}), 0, {var.byte_size}ull);"]
+        return f"        {var.name} = 0;"
+    return f"        memset((void *)({var.name}), 0, {var.byte_size}ull);"
 
 
 def generate_replay_driver(
@@ -329,7 +319,8 @@ def generate_replay_driver(
     checkpoint after the final repeat, then prints one timing line per
     repeat.  support_code is inserted at file scope for bodies that call
     helper functions.  The checkpoint helpers are only declared; link the
-    object compiled from HELPER_SOURCE (runner.build does).
+    object compiled from HELPER_SOURCE (runner.build does).  Arrays and the
+    timing buffer are static: assigning to an array's name does not compile.
 
     A string is a sequence of one body.  main(pcaot_argc, pcaot_argv)
     declares the manifest variables once, runs the body whose number is
@@ -358,9 +349,8 @@ def generate_replay_driver(
         lines.append(support_code.rstrip("\n"))
     lines.append("")
     lines.append("int main(int pcaot_argc, char **pcaot_argv) {")
-    for var in manifest.variables:
-        lines.extend(_declaration_lines(var))
-    lines.append(f"    long long pcaot_ns[{timing_repeats}];")
+    lines.extend(_declaration(var) for var in manifest.variables)
+    lines.append(f"    static long long pcaot_ns[{timing_repeats}];")
     lines.append("    struct timespec pcaot_t0 = {0, 0}, pcaot_t1 = {0, 0};")
     lines.append("    int pcaot_rep, pcaot_which = -1;")
     lines.append(
@@ -383,9 +373,7 @@ def generate_replay_driver(
             lines.extend(_ckpt_call_lines("pcaot_ckpt_get", "void *", var, "            "))
         lines.append("            pcaot_ckpt_close(pcaot_f);")
         lines.append("        }")
-    for var in manifest.variables:
-        if var.direction == "out":
-            lines.extend(_zero_lines(var))
+    lines.extend(_zero(var) for var in manifest.variables if var.direction == "out")
     for k, body in enumerate(bodies):
         lines.append(f"        if (pcaot_which == {k}) {{")
         lines.append("            clock_gettime(CLOCK_MONOTONIC, &pcaot_t0);")
@@ -404,9 +392,6 @@ def generate_replay_driver(
     lines.append(f"    for (pcaot_rep = 0; pcaot_rep < {timing_repeats}; pcaot_rep++) {{")
     lines.append(f"        printf(\"{TIMING_LINE_PREFIX} %lld\\n\", pcaot_ns[pcaot_rep]);")
     lines.append("    }")
-    for var in manifest.variables:
-        if not var.is_scalar and var.byte_size > STACK_ARRAY_LIMIT:
-            lines.append(f"    free((void *)({var.name}));")
     lines.append("    return 0;")
     lines.append("}")
     return GeneratedSource(
@@ -417,6 +402,8 @@ def generate_replay_driver(
 # A preprocessor line that is not "#pragma omp ...", once comments and strings are blanked.
 _FOREIGN_DIRECTIVE_RE = re.compile(r"^[ \t]*#(?![ \t]*pragma[ \t]+omp\b)", re.MULTILINE)
 _GOTO_RE = re.compile(r"\bgoto\b")
+# An identifier of the replay driver's own state, or token pasting that could spell one.
+_RESERVED_RE = re.compile(r"\b(?:pcaot|PCAOT)_\w*|##")
 # Each closing bracket and the opening bracket it must match.
 _OPENING = {"}": "{", ")": "(", "]": "["}
 
@@ -441,6 +428,12 @@ def can_share_driver(section_body: str) -> bool:
         elif char in _OPENING and (not opened or opened.pop() != _OPENING[char]):
             return False
     return not opened
+
+
+def reserved_name_in(code: str) -> str | None:
+    """The first name of the driver's own state (pcaot_*, PCAOT_*) or ## in code's tokens."""
+    match = _RESERVED_RE.search(_strip_comments_and_strings(code))
+    return None if match is None else match.group()
 
 
 _BODY_ERROR_RE = re.compile(

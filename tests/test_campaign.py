@@ -329,10 +329,15 @@ class CountingMock(MockLlm):
         return super().complete(section_id, strategy, attempt, section_code)
 
 
+def _write_program(tmp_path, source, manifest):
+    sid = manifest["section_id"]
+    (tmp_path / f"{sid}.c").write_text(source)
+    (tmp_path / f"{sid}.json").write_text(json.dumps(manifest))
+    return SectionJob(source_path=tmp_path / f"{sid}.c", manifest_path=tmp_path / f"{sid}.json")
+
+
 def _write_section(tmp_path):
-    (tmp_path / "tiny.c").write_text(SECTION_SOURCE)
-    (tmp_path / "tiny.json").write_text(json.dumps(SECTION_MANIFEST))
-    return SectionJob(source_path=tmp_path / "tiny.c", manifest_path=tmp_path / "tiny.json")
+    return _write_program(tmp_path, SECTION_SOURCE, SECTION_MANIFEST)
 
 
 GOOD = (
@@ -677,6 +682,101 @@ def test_the_sections_own_code_may_use_a_reserved_name(tmp_path):
     )
     records = execute(plan(config), config, tmp_path / "out")
     # Only code other than the section's own is held to the name rule.
+    assert [(r.tool, r.status) for r in records] == [
+        ("serial", ValidationStatus.PASS),
+        ("mock", ValidationStatus.PASS),
+    ]
+
+
+# 156 KiB of doubles, doubled over as many elements as sizeof says it holds.
+TWICE_SOURCE = """\
+#include <stdio.h>
+
+int main(void) {
+    static double a[20000];
+    long i;
+    for (i = 0; i < 20000; i++) a[i] = (double)i;
+#pragma experimental section start id=twice
+    for (i = 0; i < (long)(sizeof(a) / sizeof(a[0])); i++) {
+        a[i] = 2.0 * a[i];
+    }
+#pragma experimental section stop id=twice
+    printf("%f\\n", a[19999]);
+    return 0;
+}
+"""
+
+
+@needs_gcc
+def test_sizeof_an_array_means_its_size_at_any_size(tmp_path):
+    manifest = {**SECTION_MANIFEST, "section_id": "twice", "variables": [
+        {"name": "a", "elem_type": "f64", "extents": [20000], "direction": "inout"},
+        {"name": "i", "elem_type": "i64", "direction": "in"},
+    ]}
+    job = _write_program(tmp_path, TWICE_SOURCE, manifest)
+    (section,) = extract_sections(TWICE_SOURCE, "twice.c")
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"twice": f"```c\n{section.body_text}```"}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    assert [(r.tool, r.status) for r in records] == [
+        ("serial", ValidationStatus.PASS),
+        ("mock", ValidationStatus.PASS),
+    ]
+
+
+HISTOGRAM_SOURCE = """\
+#include <stdint.h>
+#include <stdio.h>
+
+int main(void) {
+    static int64_t h[BINS];
+    static int32_t v[100000];
+    long i;
+    for (i = 0; i < 100000; i++) v[i] = (int32_t)((i * 7919) % BINS);
+#pragma experimental section start id=hist
+    for (i = 0; i < 100000; i++) {
+        h[v[i]] += 1;
+    }
+#pragma experimental section stop id=hist
+    printf("%lld\\n", (long long)h[0]);
+    return 0;
+}
+"""
+WHOLE_ARRAY_REDUCTION = (
+    "```c\n"
+    "#pragma omp parallel for reduction(+:h)\n"
+    "    for (i = 0; i < 100000; i++) {\n"
+    "        h[v[i]] += 1;\n"
+    "    }\n"
+    "```"
+)
+
+
+@needs_gcc
+@pytest.mark.parametrize("bins", [4096, 16384])
+def test_a_whole_array_reduction_compiles_at_any_size(tmp_path, bins):
+    # 32 KiB and 128 KiB of int64_t: the clause names the array, whatever its size.
+    manifest = {**SECTION_MANIFEST, "section_id": "hist", "variables": [
+        {"name": "h", "elem_type": "i64", "extents": [bins], "direction": "inout"},
+        {"name": "v", "elem_type": "i32", "extents": [100000], "direction": "in"},
+        {"name": "i", "elem_type": "i64", "direction": "in"},
+    ]}
+    job = _write_program(tmp_path, HISTOGRAM_SOURCE.replace("BINS", str(bins)), manifest)
+    config = CampaignConfig(
+        sections=(job,),
+        llm_backends=(CountingMock("mock", {"hist": WHOLE_ARRAY_REDUCTION}),),
+        strategies=(PromptStrategy.IP,),
+        attempts=1,
+        timing_repeats=1,
+        threads=2,
+    )
+    records = execute(plan(config), config, tmp_path / "out")
     assert [(r.tool, r.status) for r in records] == [
         ("serial", ValidationStatus.PASS),
         ("mock", ValidationStatus.PASS),

@@ -22,7 +22,6 @@ from pcaot.instrument import (
     C_TYPES,
     HELPER_DECLS,
     HELPER_SOURCE,
-    STACK_ARRAY_LIMIT,
     SourceKind,
     UnknownSection,
     bodies_named_in,
@@ -120,16 +119,18 @@ def test_every_element_type_has_a_c_type_a_tag_and_a_dtype():
         assert sorted(table) == sorted(ELEM_TYPES)
 
 
-def test_driver_declarations_stack_vs_heap():
+def test_driver_declares_every_array_static():
+    # 800 bytes and 80,000 bytes alike: no declaration depends on an array's size.
     small = manifest_of(VariableSpec("a", "f64", (100,), "out"))
     big = manifest_of(VariableSpec("a", "f64", (100, 100), "out"))
-    assert 100 * 8 <= STACK_ARRAY_LIMIT < 100 * 100 * 8
     small_text = generate_replay_driver("a[0] = 1.0;", small).text
     big_text = generate_replay_driver("a[0][0] = 1.0;", big).text
-    assert "malloc" not in small_text
-    assert "static double a[100]" in small_text or "double a[100]" in small_text
-    assert "malloc(sizeof(double[100][100]))" in big_text
-    assert "free((void *)(a));" in big_text
+    assert "    static double a[100];\n" in small_text
+    assert "    static double a[100][100];\n" in big_text
+    for text in (small_text, big_text):
+        assert "static long long pcaot_ns[3];" in text
+        assert "malloc" not in text
+        assert "free(" not in text
 
 
 def test_driver_preamble_is_self_contained():
@@ -197,6 +198,19 @@ def test_driver_times_a_known_sleep(workdir):
     timing = collect_timing(result)
     assert len(timing.samples_ns) == 3
     assert timing.median_ns == pytest.approx(100_000_000, rel=0.10)
+
+
+@needs_gcc
+def test_a_repeat_count_beyond_the_stack_still_runs(workdir):
+    # 1,500,000 samples of 8 bytes are 12 MB of timing buffer: more than an
+    # 8 MiB stack holds, so this fails wherever the buffer lives on a stack
+    # of 12 MiB or less.
+    repeats = 1_500_000
+    manifest = manifest_of(VariableSpec("k", "i32", (), "out"))
+    binary = build(generate_replay_driver("k = 7;", manifest, timing_repeats=repeats),
+                   BuildSpec(workdir=workdir))
+    timing = collect_timing(run(binary, timeout_s=60.0), repeats)
+    assert len(timing.samples_ns) == repeats
 
 
 @needs_gcc
