@@ -27,6 +27,9 @@ subcommands and by run):
                                 each version's driver.c (often its section's),
                                 driver, and driver.args, the body number that
                                 runs the version's code: ./driver $(cat driver.args)
+                                Each version directory, serial/ too, holds a
+                                hard link to capture/<id>.in.ckpt (a copy
+                                where linking fails).
     sections/<id>/candidates/<tool>__na__0/compiler/
                                 a compiler backend's input.c (the wrapped
                                 section) and the files it wrote, such as
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import shutil
 from concurrent.futures import ThreadPoolExecutor
@@ -503,6 +507,27 @@ def _candidate_timeout(config: CampaignConfig, baseline_wall_ns: int) -> float:
     return max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * baseline_wall_ns / 1e9)
 
 
+def _stamp(path: Path) -> tuple[int, ...]:
+    """What a write, link, unlink or replacement of path changes in its stat."""
+    st = os.stat(path)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _place_input(source: Path, scratch: Path) -> tuple[int, ...]:
+    """Hard-link source into scratch, or copy it when linking fails; the stamp of source after.
+
+    The stamp is taken last because the link itself changes the ctime of
+    source.
+    """
+    target = scratch / source.name
+    target.unlink(missing_ok=True)
+    try:
+        os.link(source, target)
+    except OSError:
+        shutil.copyfile(source, target)
+    return _stamp(source)
+
+
 def _validate_code(
     driver: GeneratedSource | ReservedName,
     argv: tuple[str, ...],
@@ -511,7 +536,7 @@ def _validate_code(
     config: CampaignConfig,
     scratch: Path,
     timeout_s: float,
-) -> tuple[ValidationStatus, int | None, int | None]:
+) -> tuple[ValidationStatus, int | None, int | None, bool]:
     """Build, run, time and compare one version's replay driver.
 
     The driver runs with argv, which selects the version's body, written to
@@ -519,25 +544,28 @@ def _validate_code(
     rejected the code) is a CompileError without a build, as is a failed
     build.  A scratch that cannot take the driver's files, driver.args or
     the captured input (an OSError) is a RuntimeError, logged with the path.
+    The captured input is hard-linked into scratch (_place_input), so the
+    version shares it with its capture; when the run changed its stat (a
+    write, link or unlink through any path), the version is a RuntimeError,
+    logged, and the section needs a new capture.
     Code with no OpenMP directive and no _Pragma, outside comments and
     strings, runs with OMP_PROC_BIND=false: a driver that links libgomp
     would otherwise pin its one thread to one CPU.
-    Returns (status, median_ns, run_wall_ns); run_wall_ns is None when the
-    driver did not run."""
+    Returns (status, median_ns, run_wall_ns, input_changed); run_wall_ns is
+    None when the driver did not run."""
     try:
         if isinstance(driver, ReservedName):
             raise driver
         binary = build(driver, replace(config.build, workdir=scratch))
         (scratch / "driver.args").write_text(" ".join(argv) + "\n", encoding="utf-8")
-        if ctx.in_ckpt is not None:
-            shutil.copyfile(ctx.in_ckpt, scratch / ctx.in_ckpt.name)
+        stamp = _place_input(ctx.in_ckpt, scratch) if ctx.in_ckpt is not None else None
     except PcaotError as exc:
         detail = getattr(exc, "stderr", "") or str(exc)
         log.debug("candidate build failed in %s: %s", scratch.name, detail[:400])
-        return (ValidationStatus.COMPILE_ERROR, None, None)
+        return (ValidationStatus.COMPILE_ERROR, None, None, False)
     except OSError as exc:
         log.warning("cannot prepare %s: %s", scratch, exc)
-        return (ValidationStatus.RUNTIME_ERROR, None, None)
+        return (ValidationStatus.RUNTIME_ERROR, None, None, False)
     env = {"OMP_NUM_THREADS": str(config.threads)}
     if not (has_any_directive(code) or "_Pragma" in _strip_comments_and_strings(code)):
         env["OMP_PROC_BIND"] = "false"
@@ -545,25 +573,33 @@ def _validate_code(
         result = run(binary, timeout_s=timeout_s, env=env, args=argv)
     except SpawnFailure as exc:
         log.debug("candidate driver did not start in %s: %s", scratch.name, exc)
-        return (ValidationStatus.RUNTIME_ERROR, None, None)
+        return (ValidationStatus.RUNTIME_ERROR, None, None, False)
+    if stamp is not None:
+        try:
+            changed = _stamp(ctx.in_ckpt) != stamp
+        except OSError:
+            changed = True
+        if changed:
+            log.warning("the version in %s changed its section's input %s", scratch, ctx.in_ckpt)
+            return (ValidationStatus.RUNTIME_ERROR, None, result.wall_time_ns, True)
     if result.timed_out:
-        return (ValidationStatus.TIMEOUT, None, result.wall_time_ns)
+        return (ValidationStatus.TIMEOUT, None, result.wall_time_ns, False)
     if result.exit_code != 0:
-        return (ValidationStatus.RUNTIME_ERROR, None, result.wall_time_ns)
+        return (ValidationStatus.RUNTIME_ERROR, None, result.wall_time_ns, False)
     try:
         timing = collect_timing(result, config.timing_repeats)
         candidate_ckpt = ckpt.read_checkpoint_file(
             scratch / output_checkpoint_name(ctx.manifest.section_id)
         )
     except (PcaotError, OSError):
-        return (ValidationStatus.RUNTIME_ERROR, None, result.wall_time_ns)
+        return (ValidationStatus.RUNTIME_ERROR, None, result.wall_time_ns, False)
     report = ckpt.compare(ctx.reference, candidate_ckpt, ctx.manifest, config.tolerance)
     status = (
         ValidationStatus.PASS
         if report.status is ComparisonStatus.PASS
         else ValidationStatus.NUMERIC_MISMATCH
     )
-    return (status, timing.median_ns, result.wall_time_ns)
+    return (status, timing.median_ns, result.wall_time_ns, False)
 
 
 def _make_record(
@@ -723,8 +759,10 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     build() call waits for every compile, replacements of failed section
     drivers included, and later ones are memo hits.  A section is
     captured afresh just before its versions run, and not at all when every
-    version has a record.  Sections whose reference capture fails are
-    skipped (and logged); all other failures become per-version statuses.
+    version has a record, and again before the next version that runs after
+    one that changed its input.  Sections whose reference capture fails are
+    skipped (and logged), and a failed capture again stops its section;
+    all other failures become per-version statuses.
     Speedups are taken only against a serial that Passed.  Returns records
     in deterministic order: sections in plan order, the serial baseline
     first, then candidates by (tool, strategy, attempt).  Existing
@@ -758,14 +796,22 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
             continue
         serial_median = None
         timeout_s = _candidate_timeout(config, ctx.capture_wall_ns)
+        input_changed = False
         for (origin, code), record in zip(versions, recorded):
             is_serial = origin.tool_id == SERIAL_TOOL_ID
             if record is None:
                 status, median, wall = ValidationStatus.EXTRACTION_ERROR, None, None
+                if code is not None and input_changed:
+                    try:
+                        ctx = _capture(ctx, config, outdir)
+                    except CaptureFailure as exc:
+                        log.warning("section stopped: %s", exc)
+                        break
+                    input_changed = False
                 if code is not None:
                     driver, argv = drivers.driver(code)
                     scratch = _version_dir(outdir, sid, origin)
-                    status, median, wall = _validate_code(
+                    status, median, wall, input_changed = _validate_code(
                         driver, argv, code, ctx, config, scratch, timeout_s
                     )
                 baseline = median if is_serial else serial_median

@@ -17,10 +17,13 @@ former and write the latter into their own scratch directory.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import BinaryIO
 
 import numpy as np
 
@@ -37,6 +40,9 @@ FLOAT_TYPES = ("f32", "f64")
 
 # Explicit little-endian dtypes so payload bytes match the wire on any host.
 NUMPY_DTYPES = {"i8": "<i1", "i32": "<i4", "i64": "<i8", "f32": "<f4", "f64": "<f8"}
+
+# Elements compare walks at a time.
+BLOCK = 1 << 16
 
 
 class BadMagic(PcaotError):
@@ -129,20 +135,23 @@ def encode(checkpoint: Checkpoint) -> bytes:
 
 
 class _Cursor:
-    """Bounds-checked reader over the wire bytes."""
+    """Bounds-checked reader over a binary stream that holds size bytes of wire data."""
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+    def __init__(self, stream: BinaryIO, size: int) -> None:
+        self.stream = stream
+        self.remaining = size
 
     def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.data):
+        # Checked before the read, so a header that claims more bytes than
+        # remain allocates nothing.
+        if count > self.remaining:
             raise TruncatedPayload(
-                f"checkpoint ends inside {what}: wanted {count} bytes, "
-                f"{len(self.data) - self.pos} remain"
+                f"checkpoint ends inside {what}: wanted {count} bytes, {self.remaining} remain"
             )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
+        chunk = self.stream.read(count)
+        if len(chunk) != count:
+            raise TruncatedPayload(f"checkpoint ends inside {what}: the file shrank while read")
+        self.remaining -= count
         return chunk
 
 
@@ -152,7 +161,11 @@ def decode(data: bytes) -> Checkpoint:
     Raises BadMagic, UnsupportedVersion, UnknownTypeTag, TruncatedPayload,
     or ParseError for a record name that is not UTF-8.
     """
-    cur = _Cursor(data)
+    return _decode(_Cursor(io.BytesIO(data), len(data)))
+
+
+def _decode(cur: _Cursor) -> Checkpoint:
+    """decode, reading the wire data through cur."""
     magic = cur.take(4, "magic")
     if magic != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, found {magic!r}")
@@ -177,8 +190,8 @@ def decode(data: bytes) -> Checkpoint:
     terminator = cur.take(1, "terminator")
     if terminator != b"\xff":
         raise TruncatedPayload(f"expected terminator 0xFF, found {terminator!r}")
-    if cur.pos != len(data):
-        raise TruncatedPayload(f"{len(data) - cur.pos} trailing bytes after terminator")
+    if cur.remaining:
+        raise TruncatedPayload(f"{cur.remaining} trailing bytes after terminator")
     return Checkpoint(records=tuple(records), version=version)
 
 
@@ -222,26 +235,31 @@ class ComparisonReport:
             raise ParseError("a passing report cannot name an offending element")
 
 
-def _float_errors(ref: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-element (abs_err, rel_err, allowed-is-valid mask baseline).
+def _float_errors(
+    ref: np.ndarray, cand: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-element (abs_err, rel_err, failing) of two float blocks.
 
-    NaN agreeing with NaN is zero error; NaN against a number is infinite
-    error.  Relative error is against the reference magnitude.
+    Equal elements, infinities included, have zero error, and so does NaN
+    against NaN; NaN against a number has infinite error.  Relative error
+    is against the reference magnitude; one that is NaN (inf / inf) is
+    infinite.  An element fails when its abs_err exceeds tol.abs +
+    tol.rel * |ref|, or, for a NaN reference, when it is not zero.
     """
-    ref = ref.astype(np.float64, copy=False).ravel()
-    cand = cand.astype(np.float64, copy=False).ravel()
+    ref = ref.astype(np.float64, copy=False)
+    cand = cand.astype(np.float64, copy=False)
     nan_ref = np.isnan(ref)
-    nan_cand = np.isnan(cand)
-    one_nan = nan_ref ^ nan_cand
-    numeric = ~nan_ref & ~nan_cand
-    abs_err = np.zeros(ref.shape, dtype=np.float64)
-    abs_err[one_nan] = np.inf
-    abs_err[numeric] = np.abs(ref[numeric] - cand[numeric])
-    denom = np.abs(ref)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rel_err = np.where(abs_err == 0.0, 0.0, abs_err / denom)
-    rel_err = np.where((abs_err > 0.0) & ~(denom > 0.0), np.inf, rel_err)
-    return abs_err, rel_err, nan_ref
+        abs_err = np.abs(ref - cand)
+        abs_err[np.isnan(abs_err)] = np.inf
+        abs_err[(ref == cand) | (nan_ref & np.isnan(cand))] = 0.0
+        denom = np.abs(ref)
+        rel_err = abs_err / denom
+        allowed = tol.abs + tol.rel * denom
+    rel_err[abs_err == 0.0] = 0.0
+    rel_err[np.isnan(rel_err)] = np.inf
+    allowed[nan_ref] = 0.0
+    return abs_err, rel_err, abs_err > allowed
 
 
 def compare(
@@ -287,6 +305,9 @@ def compare(
                 status=ComparisonStatus.TYPE_MISMATCH, offending=(var.name, 0)
             )
 
+    # Each differing variable is walked in blocks of BLOCK elements, so the
+    # float64 temporaries stay bounded; the first index of the largest
+    # failing error is the offender, replaced only by a strictly larger one.
     worst_abs = 0.0
     worst_rel = 0.0
     offender: tuple[str, int] | None = None
@@ -297,26 +318,24 @@ def compare(
             continue
         ref_vals = ref_rec.values().ravel()
         cand_vals = cand_rec.values().ravel()
-        if var.elem_type in FLOAT_TYPES:
-            abs_err, rel_err, nan_ref = _float_errors(ref_vals, cand_vals)
-            allowed = tol.abs + tol.rel * np.abs(ref_vals.astype(np.float64, copy=False))
-            allowed = np.where(nan_ref, 0.0, allowed)
-            failing = abs_err > allowed
-            if abs_err.size:
+        for start in range(0, ref_vals.size, BLOCK):
+            ref_block = ref_vals[start : start + BLOCK]
+            cand_block = cand_vals[start : start + BLOCK]
+            if var.elem_type in FLOAT_TYPES:
+                abs_err, rel_err, failing = _float_errors(ref_block, cand_block, tol)
                 worst_abs = max(worst_abs, float(abs_err.max()))
                 worst_rel = max(worst_rel, float(rel_err.max()))
-        else:
-            failing = ref_vals != cand_vals
-            abs_err = np.abs(
-                ref_vals.astype(np.float64, copy=False)
-                - cand_vals.astype(np.float64, copy=False)
-            )
-        if failing.any():
+            else:
+                failing = ref_block != cand_block
+                if not failing.any():
+                    continue
+                abs_err = np.abs(ref_block.astype(np.float64) - cand_block.astype(np.float64))
             fail_idx = np.flatnonzero(failing)
-            best = fail_idx[int(np.argmax(abs_err[fail_idx]))]
-            if float(abs_err[best]) > offender_err:
-                offender_err = float(abs_err[best])
-                offender = (var.name, int(best))
+            if fail_idx.size:
+                best = fail_idx[int(np.argmax(abs_err[fail_idx]))]
+                if float(abs_err[best]) > offender_err:
+                    offender_err = float(abs_err[best])
+                    offender = (var.name, start + int(best))
 
     if offender is not None:
         return ComparisonReport(
@@ -336,5 +355,6 @@ def write_checkpoint_file(path, checkpoint: Checkpoint) -> None:
 
 
 def read_checkpoint_file(path) -> Checkpoint:
+    """decode the file at path, reading each payload straight from the file."""
     with open(path, "rb") as handle:
-        return decode(handle.read())
+        return _decode(_Cursor(handle, os.fstat(handle.fileno()).st_size))

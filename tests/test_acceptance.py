@@ -244,7 +244,7 @@ def _random_identity_case(rng: random.Random, index: int) -> tuple[str, StateMan
     for j in range(rng.randint(1, 4)):
         elem = rng.choice(ALL_TYPES)
         if j == 0 and index % 5 == 0:
-            # Big enough to push the replay driver onto its heap path.
+            # 115,200 bytes, far above the others; the driver keeps it static like them.
             elem, extents = "f64", (120, 120)
         else:
             rank = rng.randint(0, 3)

@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -1542,6 +1543,72 @@ def test_a_resume_compares_against_a_fresh_capture(tmp_path):
     (ip,) = (r for r in records if (r.section_id, r.strategy) == ("vecscale", "IP"))
     assert ip.status is ValidationStatus.PASS
     assert path.read_bytes() == campaign.ckpt.encode(reference)
+
+
+# The vecscale CoT candidate copies the captured output over its section's
+# input, through its own directory's link or through the capture's path.
+OVERWRITES = {
+    "own link": "vecscale.in.ckpt",
+    "capture": "../../capture/vecscale.in.ckpt",
+}
+
+
+def _overwrite_config(target):
+    statement = f'(void)system("cp ../../capture/vecscale.out.ckpt {target}");'
+    return _sample_config({"vecscale/CoT": _vecscale_then(statement)})
+
+
+def _statuses(records):
+    return {(r.section_id, r.tool, r.strategy): r.status for r in records}
+
+
+@needs_gcc
+@pytest.mark.parametrize("target", OVERWRITES.values(), ids=OVERWRITES.keys())
+def test_a_candidate_that_overwrites_its_input_is_a_runtime_error(tmp_path, caplog, target):
+    outdir = tmp_path / "out"
+    config = _overwrite_config(target)
+    statuses = _statuses(execute(plan(config), config, outdir))
+    # DIP and IP run after CoT, from a new capture.
+    assert statuses.pop(("vecscale", "mockllm", "CoT")) is ValidationStatus.RUNTIME_ERROR
+    assert set(statuses.values()) == {ValidationStatus.PASS}
+    assert "mockllm__CoT__1 changed its section's input" in caplog.text
+    capture = outdir / "sections" / "vecscale" / "capture"
+    ip_input = capture.parent / "candidates" / "mockllm__IP__1" / "vecscale.in.ckpt"
+    assert ip_input.read_bytes() != (capture / "vecscale.out.ckpt").read_bytes()
+    assert ip_input.stat().st_ino == (capture / "vecscale.in.ckpt").stat().st_ino
+
+
+@needs_gcc
+def test_a_failed_link_falls_back_to_a_copy(tmp_path, monkeypatch):
+    config = _overwrite_config(OVERWRITES["capture"])
+    linked = _statuses(execute(plan(config), config, tmp_path / "linked"))
+
+    def no_link(*args, **kwargs):
+        raise OSError(errno.EXDEV, "cross-device link")
+
+    monkeypatch.setattr(os, "link", no_link)
+    outdir = tmp_path / "copied"
+    assert _statuses(execute(plan(config), config, outdir)) == linked
+    assert linked[("vecscale", "mockllm", "CoT")] is ValidationStatus.RUNTIME_ERROR
+    serial_input = outdir / "sections" / "sumsqrt" / "serial" / "sumsqrt.in.ckpt"
+    assert serial_input.stat().st_nlink == 1
+
+
+@needs_gcc
+def test_version_directories_link_the_captured_input(tmp_path):
+    config = _sample_config({})
+    outdir = tmp_path / "out"
+    execute(plan(config), config, outdir)
+    for sid in ("vecscale", "sumsqrt", "chain_dp"):
+        section = outdir / "sections" / sid
+        captured = section / "capture" / f"{sid}.in.ckpt"
+        versions = [section / "serial", *sorted((section / "candidates").iterdir())]
+        assert len(versions) == 5
+        for version in versions:
+            placed = version / captured.name
+            assert placed.stat().st_nlink > 1
+            assert placed.stat().st_ino == captured.stat().st_ino
+            assert placed.read_bytes() == captured.read_bytes()
 
 
 @needs_gcc

@@ -1,5 +1,8 @@
 import math
 import struct
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from pcaot.checkpoint import (
     read_checkpoint_file,
     write_checkpoint_file,
 )
-from pcaot.errors import ParseError
+from pcaot.errors import ParseError, PcaotError
 from pcaot.sections import StateManifest, VariableSpec
 
 TAGS = {"i8": 0, "i32": 1, "i64": 2, "f32": 3, "f64": 4}
@@ -122,6 +125,44 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "x.ckpt"
     write_checkpoint_file(path, checkpoint)
     assert read_checkpoint_file(path) == checkpoint
+
+
+def _same_error_from_file_and_bytes(tmp_path, blob):
+    """The exception type read_checkpoint_file and decode both raise on blob."""
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(PcaotError) as from_bytes:
+        decode(blob)
+    with pytest.raises(PcaotError) as from_file:
+        read_checkpoint_file(path)
+    assert type(from_file.value) is type(from_bytes.value)
+    return type(from_file.value)
+
+
+def test_file_decode_rejects_a_cut_inside_a_payload(tmp_path):
+    record = VarRecord.from_values("abc", "f64", np.arange(4, dtype="<f8"))
+    blob = encode(Checkpoint(records=(record,)))
+    assert _same_error_from_file_and_bytes(tmp_path, blob[:-10]) is TruncatedPayload
+
+
+def test_file_decode_rejects_trailing_bytes(tmp_path):
+    blob = encode(Checkpoint(records=(VarRecord.from_values("v", "i8", [1, 2]),)))
+    assert _same_error_from_file_and_bytes(tmp_path, blob + b"\x00\x01") is TruncatedPayload
+
+
+def test_file_decode_of_a_huge_claim_allocates_nothing(tmp_path):
+    # Extents of 2^20 x 2^20 f64: a payload of 2^43 bytes, of which 16 exist.
+    blob = (
+        b"PCAO" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"a"
+        + bytes([TAGS["f64"], 2]) + struct.pack("<2Q", 1 << 20, 1 << 20) + bytes(16) + b"\xff"
+    )
+    tracemalloc.start()
+    try:
+        assert _same_error_from_file_and_bytes(tmp_path, blob) is TruncatedPayload
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 _name = st.text(
@@ -400,3 +441,97 @@ def test_compare_agrees_with_oracle_property(perturb, tol_abs):
     assert report.worst_abs_err == pytest.approx(worst_abs, rel=1e-12, abs=1e-300)
     if fails:
         assert report.offending == ("a", offending)
+
+
+def test_matching_infinities_have_zero_error():
+    # inf - inf is NaN; an equal element has no error, so 1.0 is the worst.
+    ref = _ckpt(a=("f64", np.array([np.inf, 1.0])))
+    cand = _ckpt(a=("f64", np.array([np.inf, 2.0])))
+    manifest = _manifest(VariableSpec("a", "f64", (2,), "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare(ref, cand, manifest)
+    assert report == ComparisonReport(
+        status=ComparisonStatus.NUMERIC_MISMATCH,
+        worst_abs_err=1.0,
+        worst_rel_err=1.0,
+        offending=("a", 1),
+    )
+
+
+def test_a_number_against_an_infinite_reference_has_infinite_relative_error():
+    # inf / inf is NaN; the relative error of a finite candidate is infinite.
+    manifest = _manifest(VariableSpec("a", "f64", (), "out"))
+    report = compare(_ckpt(a=("f64", np.inf)), _ckpt(a=("f64", 1.0)), manifest)
+    assert report.worst_abs_err == math.inf
+    assert report.worst_rel_err == math.inf
+
+
+def _blockwise_and_whole(ref, cand, manifest, tol, block):
+    with mock.patch.object(checkpoint, "BLOCK", block):
+        blockwise = compare(ref, cand, manifest, tol)
+    with mock.patch.object(checkpoint, "BLOCK", 1 << 30):
+        whole = compare(ref, cand, manifest, tol)
+    return blockwise, whole
+
+
+_BLOCK_MANIFEST = _manifest(
+    VariableSpec("x", "f32", (7,), "out"),
+    VariableSpec("y", "f64", (7,), "out"),
+    VariableSpec("k", "i64", (7,), "out"),
+)
+_X = np.arange(7, dtype="<f4")
+_Y = np.arange(7, dtype="<f8")
+_K = np.arange(7, dtype="<i8")
+
+# name -> (candidate x, y, k, expected offender); the reference is (_X, _Y, _K).
+BLOCK_CASES = {
+    # Equal worst errors at 2 and 3, on both sides of the first block edge.
+    "tie across a block edge": (_X, _Y + [0, 0, 0.5, 0.5, 0, 0, 0], _K, ("y", 2)),
+    # An error of 0.5 in the first block, a larger one only in the third.
+    "later block is larger": (_X, _Y + [0, 0.5, 0, 0, 0, 0, 2.0], _K, ("y", 6)),
+    # NaN against a number in the second block; a matching inf in the first.
+    "nan in one block": (
+        np.array([0, np.inf, 2, 3, np.nan, 5, 6], dtype="<f4"),
+        _Y,
+        _K,
+        ("x", 4),
+    ),
+    # x and k both fail by 3 at their own index 5; x comes first.
+    "two variables tie": (_X + [0, 0, 0, 0, 0, 3, 0], _Y, _K + [0, 0, 0, 0, 0, 3, 0], ("x", 5)),
+    # k is the only failure, across two blocks, and holds the largest error.
+    "integer blocks": (_X, _Y, _K + [0, 1, 0, 0, 0, 0, -4], ("k", 6)),
+    "all equal but -0.0": (np.array([-0.0, 1, 2, 3, 4, 5, 6], dtype="<f4"), _Y, _K, None),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blockwise_compare_agrees_with_whole_array_compare(case):
+    x, y, k, offender = BLOCK_CASES[case]
+    x_ref = np.where(np.isinf(x), x, _X).astype("<f4")  # the matching inf
+    ref = _ckpt(x=("f32", x_ref), y=("f64", _Y), k=("i64", _K))
+    cand = _ckpt(x=("f32", x), y=("f64", y), k=("i64", k))
+    blockwise, whole = _blockwise_and_whole(ref, cand, _BLOCK_MANIFEST, Tolerance(), 3)
+    assert blockwise == whole
+    assert blockwise.offending == offender
+
+
+@given(
+    ref=st.lists(st.floats(width=32), min_size=1, max_size=12),
+    noise=st.lists(
+        st.sampled_from([0.0, 0.5, -1.0, 2.0, np.inf, np.nan]), min_size=12, max_size=12
+    ),
+    block=st.integers(1, 5),
+)
+@settings(max_examples=80)
+def test_blockwise_compare_agrees_with_whole_array_property(ref, noise, block):
+    ref_values = np.array(ref, dtype="<f4")
+    cand_values = (ref_values + np.array(noise[: len(ref)], dtype="<f4")).astype("<f4")
+    manifest = _manifest(VariableSpec("a", "f32", (len(ref),), "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the candidate's own inf - inf
+        cand = _ckpt(a=("f32", cand_values))
+    blockwise, whole = _blockwise_and_whole(
+        _ckpt(a=("f32", ref_values)), cand, manifest, Tolerance(abs=0.1, rel=0.0), block
+    )
+    assert blockwise == whole
