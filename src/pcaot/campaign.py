@@ -27,6 +27,8 @@ subcommands and by run):
                                 each version's driver.c (often its section's),
                                 driver, and driver.args, the body number that
                                 runs the version's code: ./driver $(cat driver.args)
+                                driver.c is a whole program; gcc driver.c -o
+                                driver with the campaign's flags rebuilds it.
                                 Each version directory, serial/ too, holds a
                                 hard link to capture/<id>.in.ckpt (a copy
                                 where linking fails).
@@ -34,8 +36,6 @@ subcommands and by run):
                                 a compiler backend's input.c (the wrapped
                                 section) and the files it wrote, such as
                                 transformed.c
-    pcaot_helpers.c             checkpoint helpers every driver.c links with;
-                                compile the two together to rebuild a driver
     candidates.jsonl            produced candidate code + raw responses
     records.jsonl               one outcome record per line, appended as
                                 validation progresses (resume skips done work)
@@ -68,7 +68,6 @@ from .checkpoint import ComparisonStatus
 from .config import SERIAL_TOOL_ID, CampaignConfig, SectionJob
 from .errors import ParseError, PcaotError
 from .instrument import (
-    HELPER_SOURCE,
     GeneratedSource,
     bodies_named_in,
     can_share_driver,
@@ -86,7 +85,7 @@ from .pattern import (
     detect,
     has_any_directive,
 )
-from .report import _ensure_dir, _write_text
+from .report import _ensure_dir
 from .runner import (
     CompileFailure,
     SpawnFailure,
@@ -771,7 +770,6 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     if not experiment.jobs:
         raise EmptyCampaign("experiment plan lists no sections")
     outdir = _ensure_dir(outdir)
-    _write_text(outdir / "pcaot_helpers.c", HELPER_SOURCE)
     records_path = outdir / "records.jsonl"
     existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
     loaded, rows = _produce(config, outdir, experiment)

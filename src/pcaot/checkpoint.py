@@ -32,6 +32,7 @@ from .sections import ELEM_SIZES, ELEM_TYPES, StateManifest
 
 MAGIC = b"PCAO"
 WIRE_VERSION = 1
+TERMINATOR = b"\xff"
 EMPTY_CHECKPOINT_SIZE = 13
 
 TYPE_TAGS = {"i8": 0, "i32": 1, "i64": 2, "f32": 3, "f64": 4}
@@ -119,18 +120,43 @@ class Checkpoint:
         return None
 
 
+# A header as (field, wire bytes) pairs, in wire order.
+HeaderFields = tuple[tuple[str, bytes], ...]
+
+
+def file_header(record_count: int, version: int = WIRE_VERSION) -> HeaderFields:
+    """The fields before a checkpoint's first record: magic, version and record count."""
+    return (
+        ("magic", MAGIC),
+        ("version", struct.pack("<I", version)),
+        ("count", struct.pack("<I", record_count)),
+    )
+
+
+def record_header(name: str, elem_type: str, extents: tuple[int, ...]) -> HeaderFields:
+    """The fields before a record's payload: the name (its length, then its
+    bytes), the type tag, the rank and each extent.
+
+    encode writes these bytes, and the generated C reader and writer compare
+    against or write them (pcaot.instrument), so the two codecs share them.
+    """
+    name_bytes = name.encode("utf-8")
+    return (
+        ("name", struct.pack("<H", len(name_bytes))),
+        ("name", name_bytes),
+        ("type", struct.pack("<B", TYPE_TAGS[elem_type])),
+        ("rank", struct.pack("<B", len(extents))),
+        *(("extent", struct.pack("<Q", extent)) for extent in extents),
+    )
+
+
 def encode(checkpoint: Checkpoint) -> bytes:
     """Serialize a checkpoint to wire bytes."""
-    parts = [MAGIC, struct.pack("<II", checkpoint.version, len(checkpoint.records))]
+    parts = [data for _, data in file_header(len(checkpoint.records), checkpoint.version)]
     for rec in checkpoint.records:
-        name_bytes = rec.name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<BB", TYPE_TAGS[rec.elem_type], len(rec.extents)))
-        if rec.extents:
-            parts.append(struct.pack(f"<{len(rec.extents)}Q", *rec.extents))
+        parts.extend(data for _, data in record_header(rec.name, rec.elem_type, rec.extents))
         parts.append(rec.payload)
-    parts.append(b"\xff")
+    parts.append(TERMINATOR)
     return b"".join(parts)
 
 
@@ -188,7 +214,7 @@ def _decode(cur: _Cursor) -> Checkpoint:
         payload = cur.take(nbytes, f"record {name!r} payload")
         records.append(VarRecord(name=name, elem_type=elem_type, extents=tuple(int(e) for e in extents), payload=payload))
     terminator = cur.take(1, "terminator")
-    if terminator != b"\xff":
+    if terminator != TERMINATOR:
         raise TruncatedPayload(f"expected terminator 0xFF, found {terminator!r}")
     if cur.remaining:
         raise TruncatedPayload(f"{cur.remaining} trailing bytes after terminator")

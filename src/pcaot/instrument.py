@@ -1,15 +1,22 @@
 """C source generation: capture rewrites and standalone replay drivers.
 
-Two generators share one helper block that reads and writes the checkpoint
-wire format without any external dependency.  The helpers move each header
-field and each payload in bulk, with one fwrite/fread in host byte order,
-so they match the little-endian wire only on a little-endian host; on a
-big-endian host they exit with a "pcaot:" message before touching a
-checkpoint.  A capture inlines a static copy of the block, so it stays a
-self-contained, insertion-only rewrite.  A replay driver only declares the
-helpers (HELPER_DECLS) and is linked with one shared object compiled from
-HELPER_SOURCE (runner.build), so the block is not re-optimised for every
-version.  The generators:
+Both generators write their checkpoint I/O into the code they generate,
+as one block per checkpoint of fopen/fread/fwrite/memcmp/fgetc calls with no
+external dependency, and every generated source is one translation unit.
+The header bytes come from pcaot.checkpoint's file_header and
+record_header, which encode also writes, so the C and the Python codec
+share them: a writer emits them as string literals, and a reader walks a
+table of them and compares what it reads field by field, each kind of
+field with its own "pcaot:" message and exit status 3.  Payloads move in
+bulk, one fread/fwrite each in host byte order, so they match the
+little-endian wire only on a little-endian host; on a big-endian host each
+block exits with a "pcaot:" message before touching a checkpoint.  The
+blocks declare their own state (pcaot_ names) inside their braces, so a
+capture adds nothing at file scope but two #include lines, and a driver
+declares nothing at file scope beyond its includes and the support code.
+They call the C library by name, so a capture fails to build when the
+section's own function declares a local that hides one of those names
+(say, a variable named exit).  The generators:
 
 * generate_capture_program rewrites the original program so that running it
   dumps the section's live-in state right after the start pragma and its
@@ -37,7 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .checkpoint import TYPE_TAGS
+from .checkpoint import TERMINATOR, HeaderFields, file_header, record_header
 from .errors import PcaotError
 from .pattern import _strip_comments_and_strings
 from .sections import ExperimentalSection, StateManifest, VariableSpec, extract_sections
@@ -60,137 +67,38 @@ class SourceKind(Enum):
 
 @dataclass(frozen=True)
 class GeneratedSource:
-    """A generated C translation unit.
-
-    A capture program is self-contained; a replay driver needs the helper
-    object compiled from HELPER_SOURCE at link time.
-    """
+    """A generated C translation unit: a whole program that gcc compiles alone."""
 
     kind: SourceKind
     section_id: str
     text: str
 
 
-_INCLUDES = """#include <stdio.h>
-#include <stdlib.h>
-#include <stdint.h>
-#include <string.h>"""
+# A capture includes what its dumps call; a driver's main also calls memcmp, memset and strcmp.
+_CAPTURE_INCLUDES = ("#include <stdio.h>", "#include <stdlib.h>")
+_DRIVER_INCLUDES = (*_CAPTURE_INCLUDES, "#include <stdint.h>", "#include <string.h>")
 
-_HELPERS = r'''/* pcaot checkpoint I/O helpers (generated; little-endian wire, host-order bulk I/O) */
-''' + _INCLUDES + r'''
-#ifndef PCAOT_API
-#define PCAOT_API static
-#endif
-
-PCAOT_API void pcaot_die(const char *msg) {
-    fprintf(stderr, "pcaot: %s\n", msg);
-    exit(3);
+# The reader's message for a field of each kind whose bytes differ from the
+# manifest's, and for a file that ends inside such a field.
+_DIFFERS = {
+    "magic": "bad checkpoint magic",
+    "version": "unsupported checkpoint version",
+    "count": "unexpected checkpoint record count",
+    "name": "checkpoint variable order mismatch",
+    "type": "checkpoint element type mismatch",
+    "rank": "checkpoint rank mismatch",
+    "extent": "checkpoint extent mismatch",
+    "terminator": "checkpoint missing terminator",
 }
+_ENDS = {"magic": "bad checkpoint magic", "terminator": "checkpoint missing terminator"}
+_TRUNCATED = "checkpoint truncated"
+# Identifier characters stand for themselves in a generated C string; any other byte is octal.
+_PLAIN_BYTES = frozenset(b"_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-/* Fields and payloads move in host order: the wire's order on little-endian hosts only. */
-static FILE *pcaot_fopen(const char *path, const char *mode, const char *fail_msg) {
-    const uint16_t one = 1;
-    FILE *f;
-    if (*(const uint8_t *)&one != 1) pcaot_die("checkpoints need a little-endian host");
-    f = fopen(path, mode);
-    if (f == NULL) pcaot_die(fail_msg);
-    return f;
-}
 
-static void pcaot_write(FILE *f, const void *data, size_t nbytes) {
-    if (nbytes > 0 && fwrite(data, 1, nbytes, f) != nbytes) pcaot_die("checkpoint write failed");
-}
-
-static void pcaot_read(FILE *f, void *data, size_t nbytes) {
-    if (nbytes > 0 && fread(data, 1, nbytes, f) != nbytes) pcaot_die("checkpoint truncated");
-}
-
-static size_t pcaot_payload_bytes(int tag, int rank, const uint64_t *extents) {
-    static const size_t elem_size[5] = {1, 4, 8, 4, 8}; /* by tag: i8, i32, i64, f32, f64 */
-    uint64_t count = 1;
-    int i;
-    if (tag < 0 || tag > 4) pcaot_die("unknown element type tag");
-    for (i = 0; i < rank; i++) count *= extents[i];
-    return (size_t)count * elem_size[tag];
-}
-
-PCAOT_API FILE *pcaot_ckpt_begin(const char *path, uint32_t record_count) {
-    const uint32_t version_count[2] = {1u, record_count};
-    FILE *f = pcaot_fopen(path, "wb", "cannot create checkpoint file");
-    pcaot_write(f, "PCAO", 4);
-    pcaot_write(f, version_count, 8);
-    return f;
-}
-
-PCAOT_API void pcaot_ckpt_put(FILE *f, const char *name, int tag, int rank,
-                              const uint64_t *extents, const void *data) {
-    const uint16_t name_len = (uint16_t)strlen(name);
-    const uint8_t tag_rank[2] = {(uint8_t)tag, (uint8_t)rank};
-    pcaot_write(f, &name_len, 2);
-    pcaot_write(f, name, name_len);
-    pcaot_write(f, tag_rank, 2);
-    pcaot_write(f, extents, 8 * (size_t)rank);
-    pcaot_write(f, data, pcaot_payload_bytes(tag, rank, extents));
-}
-
-PCAOT_API void pcaot_ckpt_end(FILE *f) {
-    if (fputc(0xFF, f) == EOF) pcaot_die("checkpoint write failed");
-    if (fclose(f) != 0) pcaot_die("checkpoint close failed");
-}
-
-PCAOT_API FILE *pcaot_ckpt_open(const char *path, uint32_t expect_records) {
-    FILE *f = pcaot_fopen(path, "rb", "cannot open checkpoint file");
-    uint32_t word;
-    if (fread(&word, 1, 4, f) != 4 || memcmp(&word, "PCAO", 4) != 0) pcaot_die("bad checkpoint magic");
-    pcaot_read(f, &word, 4);
-    if (word != 1u) pcaot_die("unsupported checkpoint version");
-    pcaot_read(f, &word, 4);
-    if (word != expect_records) pcaot_die("unexpected checkpoint record count");
-    return f;
-}
-
-PCAOT_API void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
-                              const uint64_t *extents, void *data) {
-    char rec_name[256];
-    uint16_t name_len;
-    uint8_t tag_rank[2];
-    uint64_t extent;
-    int i;
-    pcaot_read(f, &name_len, 2);
-    if (name_len >= sizeof(rec_name)) pcaot_die("checkpoint variable name too long");
-    pcaot_read(f, rec_name, name_len);
-    if (name_len != strlen(name) || memcmp(rec_name, name, name_len) != 0) pcaot_die("checkpoint variable order mismatch");
-    pcaot_read(f, tag_rank, 2);
-    if (tag_rank[0] != tag) pcaot_die("checkpoint element type mismatch");
-    if (tag_rank[1] != rank) pcaot_die("checkpoint rank mismatch");
-    for (i = 0; i < rank; i++) {
-        pcaot_read(f, &extent, 8);
-        if (extent != extents[i]) pcaot_die("checkpoint extent mismatch");
-    }
-    pcaot_read(f, data, pcaot_payload_bytes(tag, rank, extents));
-}
-
-PCAOT_API void pcaot_ckpt_close(FILE *f) {
-    if (fgetc(f) != 0xFF) pcaot_die("checkpoint missing terminator");
-    if (fgetc(f) != EOF) pcaot_die("trailing bytes after terminator");
-    fclose(f);
-}
-/* end pcaot helpers */'''
-
-# The helper object's translation unit: the block with external linkage.
-HELPER_SOURCE = "#define PCAOT_API\n" + _HELPERS + "\n"
-
-# What a replay driver sees of the helpers; drivers link the helper object.
-HELPER_DECLS = _INCLUDES + """
-void pcaot_die(const char *msg);
-FILE *pcaot_ckpt_begin(const char *path, uint32_t record_count);
-void pcaot_ckpt_put(FILE *f, const char *name, int tag, int rank,
-                    const uint64_t *extents, const void *data);
-void pcaot_ckpt_end(FILE *f);
-FILE *pcaot_ckpt_open(const char *path, uint32_t expect_records);
-void pcaot_ckpt_get(FILE *f, const char *name, int tag, int rank,
-                    const uint64_t *extents, void *data);
-void pcaot_ckpt_close(FILE *f);"""
+def _c_bytes(data: bytes) -> str:
+    """A C string literal that holds exactly data (its length is passed along with it)."""
+    return '"' + "".join(chr(b) if b in _PLAIN_BYTES else f"\\{b:03o}" for b in data) + '"'
 
 
 def _data_expr(var: VariableSpec) -> str:
@@ -198,31 +106,128 @@ def _data_expr(var: VariableSpec) -> str:
     return f"&({var.name})" if var.is_scalar else f"({var.name})"
 
 
-def _ckpt_call_lines(call: str, cast: str, var: VariableSpec, indent: str) -> list[str]:
-    # A pcaot_ckpt_put or pcaot_ckpt_get call on pcaot_f; cast is its data pointer type.
-    tag = TYPE_TAGS[var.elem_type]
-    if var.is_scalar:
-        return [
-            f"{indent}{call}(pcaot_f, \"{var.name}\", {tag}, 0, "
-            f"(const uint64_t *)0, ({cast}){_data_expr(var)});"
-        ]
-    exts = ", ".join(f"{e}ull" for e in var.extents)
+def _checked_block(
+    label: str,
+    decls: list[str],
+    checks: list[tuple[str, str]],
+    body: list[str],
+    after: list[str],
+    indent: str,
+) -> list[str]:
+    """A block that sets pcaot_e to the message of the first true check, then runs body.
+
+    checks are (C condition, message) pairs, evaluated in order; body may
+    set pcaot_e too.  A message set goes to stderr as "pcaot: <message>" and
+    the program exits 3; the host byte order is checked first, because
+    payloads move in host order.  The statements in after run otherwise.
+    """
+    inner = indent + "    "
+    arms = [("*(const unsigned char *)&pcaot_one != 1", "checkpoints need a little-endian host")]
+    arms.extend(checks)
+    lines = [
+        f"{indent}{{ /* pcaot: {label} */",
+        f"{inner}const int pcaot_one = 1;",
+        *(f"{inner}{decl}" for decl in decls),
+        f"{inner}FILE *pcaot_f = NULL;",
+        f"{inner}const char *pcaot_e =",
+    ]
+    lines.extend(
+        f"{inner}    {': ' if k else ''}{cond} ? \"{message}\""
+        for k, (cond, message) in enumerate(arms)
+    )
+    lines.append(f"{inner}    : NULL;")
+    lines.extend(f"{inner}{line}" for line in body)
+    lines.append(
+        f'{inner}if (pcaot_e != NULL) {{ fprintf(stderr, "pcaot: %s\\n", pcaot_e); exit(3); }}'
+    )
+    lines.extend(f"{inner}{line}" for line in after)
+    lines.append(f"{indent}}}")
+    return lines
+
+
+def _headers(variables: tuple[VariableSpec, ...]) -> list[tuple[VariableSpec, HeaderFields]]:
+    """Each variable with the header fields before its payload; the first's include the file's."""
     return [
-        f"{indent}{{ uint64_t pcaot_ext[] = {{ {exts} }}; "
-        f"{call}(pcaot_f, \"{var.name}\", {tag}, {len(var.extents)}, "
-        f"pcaot_ext, ({cast}){_data_expr(var)}); }}"
+        (
+            var,
+            (file_header(len(variables)) if k == 0 else ())
+            + record_header(var.name, var.elem_type, var.extents),
+        )
+        for k, var in enumerate(variables)
     ]
 
 
-def _dump_block(variables: tuple[VariableSpec, ...], path: str, label: str, indent: str) -> list[str]:
-    lines = [f"{indent}{{ /* pcaot: dump {label} state */"]
-    inner = indent + "    "
-    lines.append(f"{inner}FILE *pcaot_f = pcaot_ckpt_begin(\"{path}\", {len(variables)}u);")
-    for var in variables:
-        lines.extend(_ckpt_call_lines("pcaot_ckpt_put", "const void *", var, inner))
-    lines.append(f"{inner}pcaot_ckpt_end(pcaot_f);")
-    lines.append(f"{indent}}}")
-    return lines
+def _payload_io(call: str, cast: str, var: VariableSpec) -> str:
+    # A fread or fwrite of var's payload that fails when it moves fewer bytes.
+    size = f"{var.byte_size}ull"
+    return f"{call}(({cast}){_data_expr(var)}, 1, {size}, pcaot_f) != {size}"
+
+
+def _dump_block(
+    variables: tuple[VariableSpec, ...], path: str, label: str, indent: str
+) -> list[str]:
+    """Write variables (at least one) to path: each header in one fwrite, then the payload."""
+    writes = []
+    for var, fields in _headers(variables):
+        header = b"".join(data for _, data in fields)
+        writes.append(f"fwrite({_c_bytes(header)}, 1, {len(header)}, pcaot_f) != {len(header)}")
+        writes.append(_payload_io("fwrite", "const void *", var))
+    writes.append(f"fwrite({_c_bytes(TERMINATOR)}, 1, 1, pcaot_f) != 1")
+    checks = [
+        (f'(pcaot_f = fopen("{path}", "wb")) == NULL', "cannot create checkpoint file"),
+        (" || ".join(writes), "checkpoint write failed"),
+        ("fclose(pcaot_f) != 0", "checkpoint close failed"),
+    ]
+    return _checked_block(f"dump {label} state", [], checks, [], [], indent)
+
+
+def _reload_block(variables: tuple[VariableSpec, ...], path: str, indent: str) -> list[str]:
+    """Read path into variables (at least one), checking it against the manifest.
+
+    One loop walks a table of the file's fields in wire order.  A payload
+    (want NULL) is read into its variable; any other field is read into
+    pcaot_h and compared with the bytes that pcaot.checkpoint encodes for
+    it.  A field whose bytes differ gets the message of its kind, and a file
+    that ends inside a field gets "checkpoint truncated" (inside the magic,
+    "bad checkpoint magic"; before the terminator, "checkpoint missing
+    terminator").  With a table, the code gcc compiles does not grow with
+    the manifest: a check of its own per field cost each sample and
+    big_state driver 3-10 ms more compile time.
+    """
+    def field_row(kind: str, data: bytes) -> str:
+        return f'{len(data)}u, {_c_bytes(data)}, "{_DIFFERS[kind]}", "{_ENDS.get(kind, _TRUNCATED)}"'
+
+    headers = _headers(variables)
+    rows = []
+    for var, fields in headers:
+        rows.extend(field_row(kind, data) for kind, data in fields)
+        rows.append(f'{var.byte_size}ull, NULL, NULL, "{_TRUNCATED}"')
+    rows.append(field_row("terminator", TERMINATOR))
+    width = max(len(data) for _, fields in headers for _, data in fields)
+    targets = ", ".join(f"(void *){_data_expr(var)}" for var in variables)
+    decls = [
+        "static const struct { size_t len; const char *want, *differs, *ends; } pcaot_seg[] = {",
+        *(f"    {{{row}}}," for row in rows),
+        "    {0, NULL, NULL, NULL} /* the end of the table */",
+        "};",
+        f"void *const pcaot_to[] = {{ {targets} }};",
+        f"unsigned char pcaot_h[{width}];",
+        "size_t pcaot_row, pcaot_next = 0;",
+    ]
+    body = [
+        "for (pcaot_row = 0; pcaot_e == NULL && pcaot_seg[pcaot_row].len != 0; pcaot_row++) {",
+        "    const size_t pcaot_len = pcaot_seg[pcaot_row].len;",
+        "    const char *const pcaot_want = pcaot_seg[pcaot_row].want;",
+        "    void *const pcaot_into = pcaot_want == NULL ? pcaot_to[pcaot_next++] : pcaot_h;",
+        "    if (fread(pcaot_into, 1, pcaot_len, pcaot_f) != pcaot_len)",
+        "        pcaot_e = pcaot_seg[pcaot_row].ends;",
+        "    else if (pcaot_want != NULL && memcmp(pcaot_h, pcaot_want, pcaot_len) != 0)",
+        "        pcaot_e = pcaot_seg[pcaot_row].differs;",
+        "}",
+        'if (pcaot_e == NULL && fgetc(pcaot_f) != EOF) pcaot_e = "trailing bytes after terminator";',
+    ]
+    checks = [(f'(pcaot_f = fopen("{path}", "rb")) == NULL', "cannot open checkpoint file")]
+    return _checked_block("reload input state", decls, checks, body, ["fclose(pcaot_f);"], indent)
 
 
 def input_checkpoint_name(section_id: str) -> str:
@@ -240,9 +245,10 @@ def generate_capture_program(
 ) -> GeneratedSource:
     """Insert state dumps around the section in an otherwise untouched program.
 
-    The helper block goes at the top of the file; the input dump (skipped
-    when the manifest has no in/inout variables) right after the start
-    pragma; the output dump right before the stop pragma.  Raises
+    The includes the dumps need go at the top of the file; the input dump
+    (skipped when the manifest has no in/inout variables) right after the
+    start pragma; the output dump right before the stop pragma.  Each dump
+    is a block of its own and declares nothing at file scope.  Raises
     UnknownSection if the section does not match the source; every manifest
     variable has a C type (C_TYPES), so nothing else is rejected.
     """
@@ -268,7 +274,7 @@ def generate_capture_program(
     stop_idx = section.end_line - 1
     indent = lines[start_idx][: len(lines[start_idx]) - len(lines[start_idx].lstrip())]
 
-    out: list[str] = [_HELPERS]
+    out: list[str] = list(_CAPTURE_INCLUDES)
     out.extend(lines[: start_idx + 1])
     if manifest.inputs:
         out.extend(
@@ -286,10 +292,8 @@ def generate_capture_program(
 
 def capture_insertion_line_count(manifest: StateManifest) -> int:
     """How many lines generate_capture_program adds to the original source."""
-    helper_lines = len(_HELPERS.splitlines())
-    out_dump = 4 + len(manifest.outputs)
-    in_dump = 4 + len(manifest.inputs) if manifest.inputs else 0
-    return helper_lines + in_dump + out_dump
+    in_dump = len(_dump_block(manifest.inputs, "", "", "")) if manifest.inputs else 0
+    return len(_CAPTURE_INCLUDES) + in_dump + len(_dump_block(manifest.outputs, "", "", ""))
 
 
 def _declaration(var: VariableSpec) -> str:
@@ -318,9 +322,9 @@ def generate_replay_driver(
     state, times only the body with CLOCK_MONOTONIC, writes the output
     checkpoint after the final repeat, then prints one timing line per
     repeat.  support_code is inserted at file scope for bodies that call
-    helper functions.  The checkpoint helpers are only declared; link the
-    object compiled from HELPER_SOURCE (runner.build does).  Arrays and the
-    timing buffer are static: assigning to an array's name does not compile.
+    helper functions; the driver itself declares nothing there.  Arrays and
+    the timing buffer are static: assigning to an array's name does not
+    compile.
 
     A string is a sequence of one body.  main(pcaot_argc, pcaot_argv)
     declares the manifest variables once, runs the body whose number is
@@ -343,7 +347,7 @@ def generate_replay_driver(
         "#define _POSIX_C_SOURCE 200809L",
         "#include <time.h>",
         "#include <math.h>",
-        HELPER_DECLS,
+        *_DRIVER_INCLUDES,
     ]
     if support_code.strip():
         lines.append(support_code.rstrip("\n"))
@@ -360,19 +364,12 @@ def generate_replay_driver(
         f'    if (strcmp(pcaot_arg, "{k}") == 0) pcaot_which = {k};' for k in range(len(bodies))
     )
     lines.append(
-        f'    if (pcaot_which < 0) pcaot_die("run as: ./driver N, with N from 0 to {len(bodies) - 1}");'
+        f'    if (pcaot_which < 0) {{ fputs("pcaot: run as: ./driver N, with N from 0 to '
+        f'{len(bodies) - 1}\\n", stderr); exit(3); }}'
     )
     lines.append(f"    for (pcaot_rep = 0; pcaot_rep < {timing_repeats}; pcaot_rep++) {{")
     if manifest.inputs:
-        lines.append("        { /* pcaot: reload input state */")
-        lines.append(
-            f"            FILE *pcaot_f = pcaot_ckpt_open(\"{input_checkpoint_name(sid)}\", "
-            f"{len(manifest.inputs)}u);"
-        )
-        for var in manifest.inputs:
-            lines.extend(_ckpt_call_lines("pcaot_ckpt_get", "void *", var, "            "))
-        lines.append("            pcaot_ckpt_close(pcaot_f);")
-        lines.append("        }")
+        lines.extend(_reload_block(manifest.inputs, input_checkpoint_name(sid), "        "))
     lines.extend(_zero(var) for var in manifest.variables if var.direction == "out")
     for k, body in enumerate(bodies):
         lines.append(f"        if (pcaot_which == {k}) {{")

@@ -1,34 +1,29 @@
 """Compile and execute generated programs; collect their timing lines.
 
-A replay driver only declares the checkpoint helpers.  build() writes
-instrument.HELPER_SOURCE as pcaot_helpers.c into the driver's workdir; the
-driver's compile makes pcaot_helpers.o from it with -c next to the driver
-and links the driver with that object.  Capture programs carry their own
-static copy of the helpers and are compiled alone.  build() creates nothing
-outside the workdir.
+Every generated source, capture program or replay driver, is one
+translation unit: build() writes it as capture.c or driver.c into the
+workdir and compiles it alone into capture or driver there.  build() creates
+nothing outside the workdir.
 
-build() compiles each distinct source once per process; the helper object is
-one more entry of the same memo.  The memo is keyed by sha256 over (output
-name, source text, compiler_cmd, flags); the output name (driver, capture or
-pcaot_helpers.o) stands for the kind.  A hit still writes the source into
-the new workdir, then only the binary: the bytes kept from the first
+build() compiles each distinct source once per process.  The memo is keyed
+by sha256 over (output name, source text, compiler_cmd, flags); the output
+name (driver or capture) stands for the kind.  A hit still writes the source
+into the new workdir, then only the binary: the bytes kept from the first
 compile, with that compile's file mode; it calls no compiler.  The bytes
-live in memory, so a candidate that replaces its own ./driver or
-./pcaot_helpers.o, or a deleted workdir, cannot change what a later hit gets
-or what a later driver links.  A CompileFailure is kept too, and each hit
-raises a new one with the same message and stderr; a driver whose helper
-object failed keeps that failure.  Not kept: ToolMissing and a compile that
-exits 0 without writing its output.  The default flags put no path into the
-output, so a hit gives the bytes a compile would have given; flags such as
--g would keep the first workdir's path in the debug info.
+live in memory, so a candidate that replaces its own ./driver, or a deleted
+workdir, cannot change what a later hit gets.  A CompileFailure is kept too,
+and each hit raises a new one with the same message and stderr.  Not kept:
+ToolMissing and a compile that exits 0 without writing its output.  The
+default flags put no path into the output, so a hit gives the bytes a
+compile would have given; flags such as -g would keep the first workdir's
+path in the debug info.
 
 Compiles run on a module-level pool with one thread per usable core.
-start_build() writes the sources into the workdir and queues their compiles
-without waiting; a replay driver's helper object is queued before the driver,
-whose compile waits for it.  build() is start_build(), then a wait until no
-compile is queued or running, whoever started it, then the write of its
-binary.  So a caller that starts every build of a batch first has the whole
-batch compiled, on every core, inside its first build() call, and each later
+start_build() writes the source into the workdir and queues its compile
+without waiting.  build() is start_build(), then a wait until no compile is
+queued or running, whoever started it, then the write of its binary.  So a
+caller that starts every build of a batch first has the whole batch
+compiled, on every core, inside its first build() call, and each later
 build() is a memo hit.  One workdir takes one source at a time.  A caller
 that can replace a source that fails passes start_build() an on_failure
 hook: it runs inside the failed compile's pool task, so the builds it starts
@@ -67,7 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, PcaotError
-from .instrument import HELPER_SOURCE, TIMING_LINE_PREFIX, GeneratedSource, SourceKind
+from .instrument import TIMING_LINE_PREFIX, GeneratedSource
 
 DEFAULT_FLAGS = ("-O3", "-fopenmp")
 DEFAULT_THREADS = 4
@@ -76,7 +71,6 @@ OMP_PLACEMENT = {"OMP_PROC_BIND": "spread", "OMP_PLACES": "cores"}
 
 _TIMING_RE = re.compile(rf"^{re.escape(TIMING_LINE_PREFIX)}\s+(\d+)\s*$", re.MULTILINE)
 _TIMED_RUN_LOCK = threading.Lock()
-_HELPER_OBJECT = "pcaot_helpers.o"
 # build key -> Future of the first compile's (file mode, output bytes), or of its CompileFailure
 _BUILDS: dict[str, Future] = {}
 _BUILDS_LOCK = threading.Lock()
@@ -167,10 +161,9 @@ def _lower_median(samples: tuple[int, ...]) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def _compile(spec: BuildSpec, src_path: Path, out_path: Path, extra: tuple[str, ...]) -> None:
-    # The formatted compiler_cmd, then extra, then the flags; run in src_path's directory.
+def _compile(spec: BuildSpec, src_path: Path, out_path: Path) -> None:
+    # The formatted compiler_cmd, then the flags; run in src_path's directory.
     command = shlex.split(spec.compiler_cmd.format(src=str(src_path), out=str(out_path)))
-    command.extend(extra)
     command.extend(spec.flags)
     try:
         proc = subprocess.run(
@@ -198,24 +191,11 @@ def _place(kept: tuple[int, bytes] | CompileFailure | None, out_path: Path) -> N
 
 
 def _compile_kept(
-    spec: BuildSpec,
-    src_path: Path,
-    out_path: Path,
-    extra: tuple[str, ...],
-    helper: Future | None,
+    spec: BuildSpec, src_path: Path, out_path: Path
 ) -> tuple[int, bytes] | CompileFailure | None:
-    """Compile src_path into out_path; None when there is nothing to keep.
-
-    A driver first gets its helper object, and is not compiled when that
-    object did not build: it keeps the helper's CompileFailure.
-    """
-    if helper is not None:
-        kept = helper.result()
-        if isinstance(kept, CompileFailure):
-            return kept
-        _place(kept, out_path.parent / _HELPER_OBJECT)
+    """Compile src_path into out_path; None when there is nothing to keep."""
     try:
-        _compile(spec, src_path, out_path, extra)
+        _compile(spec, src_path, out_path)
     except CompileFailure as exc:
         return exc
     if not out_path.is_file():
@@ -249,8 +229,6 @@ def _submit(
     src_path: Path,
     out_path: Path,
     spec: BuildSpec,
-    extra: tuple[str, ...],
-    helper: Future | None = None,
     on_failure: Callable[[CompileFailure], None] | None = None,
 ) -> Future:
     """Write text to src_path; the memo's future for out_path, queuing a compile on a miss."""
@@ -264,7 +242,7 @@ def _submit(
         future = _BUILDS.get(key)
         if future is None:
             future = _BUILDS[key] = _POOL.submit(
-                _memo_task, key, on_failure, spec, src_path, out_path, extra, helper
+                _memo_task, key, on_failure, spec, src_path, out_path
             )
     return future
 
@@ -277,16 +255,8 @@ def _start(
     """start_build(); returns the binary's future and path."""
     workdir = Path(spec.workdir).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
-    extra: tuple[str, ...] = ()
-    helper = None
-    if source.kind is SourceKind.REPLAY_DRIVER:
-        helper_path = workdir / _HELPER_OBJECT
-        helper = _submit(HELPER_SOURCE, workdir / "pcaot_helpers.c", helper_path, spec, ("-c",))
-        extra = (str(helper_path),)
     out_path = workdir / source.kind.value
-    binary = _submit(
-        source.text, workdir / f"{source.kind.value}.c", out_path, spec, extra, helper, on_failure
-    )
+    binary = _submit(source.text, workdir / f"{source.kind.value}.c", out_path, spec, on_failure)
     return binary, out_path
 
 
@@ -311,10 +281,10 @@ def start_build(
     source already built or queued in this process.  A later build() of the
     same source and spec waits for it and writes the binary.
 
-    When the compile this call queues fails, or the helper object it would
-    link did, on_failure gets that CompileFailure inside this compile's pool
-    task, so any build it starts is queued before the failed compile counts
-    as done: wait_idle(), build() and a timed run wait for those builds too.
+    When the compile this call queues fails, on_failure gets that
+    CompileFailure inside this compile's pool task, so any build it starts
+    is queued before the failed compile counts as done: wait_idle(), build()
+    and a timed run wait for those builds too.
     Such a failure is not kept in the memo.  on_failure is not called for a
     source found in the memo.
     """
@@ -324,16 +294,12 @@ def start_build(
 def build(source: GeneratedSource, spec: BuildSpec) -> Path:
     """Write the source into the workdir and compile it, once per distinct source.
 
-    A replay driver is first given pcaot_helpers.c in its workdir; when the
-    driver is compiled, pcaot_helpers.o is made next to it, and that object's
-    path follows the formatted compiler_cmd, before the flags.  A source already
-    built in this process with the same kind, compiler_cmd and flags is not
-    compiled again: the bytes and file mode of its first compile are written to
-    the workdir, or its CompileFailure is raised again (see the module
-    docstring).  Before it writes the binary, build() waits until no compile is
-    queued or running, whichever build() or start_build() queued it.  Returns
-    the binary path; raises CompileFailure or ToolMissing, also when the helper
-    object does not compile.
+    A source already built in this process with the same kind, compiler_cmd
+    and flags is not compiled again: the bytes and file mode of its first
+    compile are written to the workdir, or its CompileFailure is raised again
+    (see the module docstring).  Before it writes the binary, build() waits
+    until no compile is queued or running, whichever build() or start_build()
+    queued it.  Returns the binary path; raises CompileFailure or ToolMissing.
     """
     future, out_path = _start(source, spec)
     wait_idle()

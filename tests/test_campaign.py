@@ -951,34 +951,6 @@ def test_each_driver_is_queued_once(tmp_path, monkeypatch):
 
 
 @needs_gcc
-def test_helper_compile_failure_is_a_compile_error(tmp_path):
-    # gcc for everything but the helper object: captures still build, every
-    # driver fails to build and is recorded, not raised.
-    script = tmp_path / "helperfail-cc"
-    script.write_text(
-        '#!/bin/sh\ncase "$*" in *pcaot_helpers.c*) echo "no helpers" >&2; exit 1;; esac\n'
-        'exec gcc "$@"\n'
-    )
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    job = _write_section(tmp_path)
-    config = CampaignConfig(
-        sections=(job,),
-        llm_backends=(CountingMock("mock", {"tiny": GOOD}),),
-        strategies=(PromptStrategy.IP,),
-        attempts=1,
-        timing_repeats=1,
-        threads=1,
-        build=BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"),
-    )
-    records = execute(plan(config), config, tmp_path / "out")
-    statuses = {(r.tool, r.strategy): r.status for r in records}
-    assert statuses == {
-        ("serial", None): ValidationStatus.COMPILE_ERROR,
-        ("mock", "IP"): ValidationStatus.COMPILE_ERROR,
-    }
-
-
-@needs_gcc
 def test_output_directory_rebuilds_a_driver(tmp_path):
     job = _write_section(tmp_path)
     config = CampaignConfig(
@@ -998,13 +970,12 @@ def test_output_directory_rebuilds_a_driver(tmp_path):
     argv = (scratch / "driver.args").read_text().split()
     assert argv == ["1"]
     assert (section / "serial" / "driver.c").read_bytes() == (scratch / "driver.c").read_bytes()
-    # Only the output directory: the driver, the helpers and the captured input.
+    # Only the output directory: the driver and the captured input.
     rebuilt = tmp_path / "rebuilt"
     rebuilt.mkdir()
     shutil.copyfile(section / "capture" / "tiny.in.ckpt", rebuilt / "tiny.in.ckpt")
     proc = subprocess.run(
-        ["gcc", str(scratch / "driver.c"), str(outdir / "pcaot_helpers.c"),
-         "-o", str(rebuilt / "driver"), *config.build.flags],
+        ["gcc", str(scratch / "driver.c"), "-o", str(rebuilt / "driver"), *config.build.flags],
         capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1038,10 +1009,10 @@ def test_gcc_runs_once_per_distinct_driver(tmp_path):
         **{("mock", "DIP", a): ValidationStatus.NUMERIC_MISMATCH for a in (1, 2)},
         **{("mock", "CoT", a): ValidationStatus.COMPILE_ERROR for a in (1, 2)},
     }
-    # One capture, one helper object and the section driver of the 4 distinct
-    # bodies (serial = copyc, SYNTAX, WRONG, GOOD).  It fails, so the
-    # SYNTAX body gets a driver of its own, built in the first directory
-    # that needs it, and the other three a new section driver.
+    # One capture and the section driver of the 4 distinct bodies (serial =
+    # copyc, SYNTAX, WRONG, GOOD).  It fails, so the SYNTAX body gets a
+    # driver of its own, built in the first directory that needs it, and
+    # the other three a new section driver.
     section = outdir / "sections" / "tiny"
     compiled = [str(Path(line).relative_to(section)) for line in log.read_text().splitlines()]
     assert sorted(compiled) == [
@@ -1049,7 +1020,6 @@ def test_gcc_runs_once_per_distinct_driver(tmp_path):
         "capture/capture.c",
         "serial/driver.c",
         "serial/driver.c",
-        "serial/pcaot_helpers.c",
     ]
     # Every version that built still has its own source and binary.
     version_dirs = [section / "serial", *(section / "candidates").iterdir()]
@@ -1099,11 +1069,11 @@ def test_every_compile_precedes_the_first_timed_run(tmp_path, monkeypatch):
         ("mock", "DIP"): ValidationStatus.PASS,
         ("mock", "CoT"): ValidationStatus.COMPILE_ERROR,
     }
-    # The capture, the helper object, the failed section driver of four
-    # bodies, the syntax error's own driver and the section driver of the
-    # other three, which the passing versions ran: all before the capture run.
-    assert len(log.read_text().splitlines()) == 5
-    assert compiled_before_run == [5] * 4
+    # The capture, the failed section driver of four bodies, the syntax
+    # error's own driver and the section driver of the other three, which the
+    # passing versions ran: all before the capture run.
+    assert len(log.read_text().splitlines()) == 4
+    assert compiled_before_run == [4] * 4
     section = outdir / "sections" / "tiny"
     assert (section / "serial" / "driver.args").read_text() == "0\n"
     for name, argv in (("mock__DIP__1", "1\n"), ("mock__IP__1", "2\n")):
@@ -1156,7 +1126,7 @@ def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named)
     # too.  Either way each body ends alone.
     retried = [] if named is None else ["candidates/mock__CoT__1/driver.c"]
     assert sorted(compiled) == sorted(
-        ["capture/capture.c", "serial/pcaot_helpers.c", "serial/driver.c", *alone, *retried]
+        ["capture/capture.c", "serial/driver.c", *alone, *retried]
     )
     for version_dir in (section / "serial", *(section / "candidates").iterdir()):
         assert (version_dir / "driver.args").read_text() == "0\n"
@@ -1794,6 +1764,24 @@ def test_a_relative_output_directory_serves_compiler_backends(tmp_path, monkeypa
     assert main(["run", "--config", str(SAMPLES / "campaign.json"), "--out", "out"]) == 0
     records = [json.loads(line) for line in Path("out/records.jsonl").read_text().splitlines()]
     assert [r["status"] for r in records if r["tool"] == "copyc"] == ["Pass"] * 3
+
+
+
+@needs_gcc
+def test_a_program_may_use_pcaot_names_outside_its_section(tmp_path):
+    # The capture inserts no name at file scope, so the program's own
+    # pcaot_write cannot clash with it.
+    samples = shutil.copytree(SAMPLES, tmp_path / "samples")
+    source = samples / "vecscale.c"
+    main_line = "int main(void) {"
+    source.write_text(source.read_text().replace(main_line, f"static int pcaot_write = 0;\n\n{main_line}"))
+    config = load_campaign_config(samples / "campaign.json")
+    (job,) = (job for job in config.sections if job.source_path.name == "vecscale.c")
+    config = replace(config, sections=(job,), llm_backends=(), timing_repeats=1)
+    records = execute(plan(config), config, tmp_path / "out")
+    assert [(r.tool, r.status) for r in records] == [
+        ("serial", ValidationStatus.PASS), ("copyc", ValidationStatus.PASS)
+    ]
 
 
 # --- aggregation -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -24,7 +25,9 @@ from pcaot.checkpoint import (
     compare,
     decode,
     encode,
+    file_header,
     read_checkpoint_file,
+    record_header,
     write_checkpoint_file,
 )
 from pcaot.errors import ParseError, PcaotError
@@ -214,6 +217,26 @@ def test_encode_matches_oracle(records):
     )
     assert encode(checkpoint) == expected
 
+
+
+# Any name that UTF-8 can encode, so its byte length may differ from its length.
+_varied_name = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12)
+
+
+@given(st.lists(st.tuples(_varied_name, _record()), max_size=5, unique_by=lambda pair: pair[0]))
+@settings(max_examples=60)
+def test_encode_is_the_header_encoders_bytes_and_the_payloads(named):
+    # The generated C reader and writer take their header bytes from
+    # file_header and record_header, one field at a time.
+    records = tuple(dataclasses.replace(rec, name=name) for name, rec in named)
+    expected = b"".join(data for _, data in file_header(len(records)))
+    for rec in records:
+        fields = record_header(rec.name, rec.elem_type, rec.extents)
+        kinds = ["name", "name", "type", "rank"] + ["extent"] * len(rec.extents)
+        assert [kind for kind, _ in fields] == kinds
+        expected += b"".join(data for _, data in fields) + rec.payload
+    assert encode(Checkpoint(records=records)) == expected + b"\xff"
+    assert [kind for kind, _ in file_header(len(records))] == ["magic", "version", "count"]
 
 # --- comparison ---------------------------------------------------------
 

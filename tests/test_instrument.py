@@ -1,5 +1,4 @@
 import math
-import subprocess
 import time
 
 import numpy as np
@@ -20,8 +19,6 @@ from pcaot.checkpoint import (
 )
 from pcaot.instrument import (
     C_TYPES,
-    HELPER_DECLS,
-    HELPER_SOURCE,
     SourceKind,
     UnknownSection,
     bodies_named_in,
@@ -93,8 +90,8 @@ def test_capture_no_inputs_dumps_once():
     manifest = manifest_of(VariableSpec("y", "f64", (), "out"))
     (section,) = extract_sections(source, "n.c")
     generated = generate_capture_program(source, section, manifest)
-    # One call site (the helper definition itself does not count).
-    assert generated.text.count('pcaot_ckpt_begin("') == 1
+    # One dump: the output's.
+    assert generated.text.count("fopen(") == 1
     assert input_checkpoint_name("sec") not in generated.text
     assert output_checkpoint_name("sec") in generated.text
     grown = len(generated.text.splitlines()) - len(source.splitlines())
@@ -386,37 +383,66 @@ def test_driver_rejects_malformed_input(reject_driver, case):
     assert "PCAOT_TIME_NS" not in result.stdout
 
 
+WARNING_FLAGS = ("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror")
+EVERY_TYPE_MANIFEST = manifest_of(
+    VariableSpec("a", "i8", (4,), "in"),
+    VariableSpec("b", "i32", (2, 3), "inout"),
+    VariableSpec("c", "i64", (), "inout"),
+    VariableSpec("d", "f32", (5,), "out"),
+    VariableSpec("e", "f64", (), "out"),
+)
+EVERY_TYPE_BODY = "d[0] = (float)a[0]; e = (double)(b[1][2] + c);"
+EVERY_TYPE_SOURCE = f"""\
+#include <stdint.h>
+
+int main(void) {{
+    int8_t a[4] = {{1, 2, 3, 4}};
+    int32_t b[2][3] = {{{{0}}}};
+    int64_t c = 5;
+    float d[5] = {{0}};
+    double e = 0.0;
+#pragma experimental section start id=sec
+    {EVERY_TYPE_BODY}
+#pragma experimental section stop
+    return d[0] > 0.0f && e > 0.0 ? 0 : 1;
+}}
+"""
+
+
 @needs_gcc
 def test_driver_helpers_compile_without_warnings(workdir):
-    # Every element type, read and written: the whole helper block is used.
-    manifest = manifest_of(
-        VariableSpec("a", "i8", (4,), "in"),
-        VariableSpec("b", "i32", (2, 3), "inout"),
-        VariableSpec("c", "i64", (), "inout"),
-        VariableSpec("d", "f32", (5,), "out"),
-        VariableSpec("e", "f64", (), "out"),
+    # Every element type, read and written, by a capture and by a driver:
+    # each of their checkpoint blocks is used.
+    (section,) = extract_sections(EVERY_TYPE_SOURCE, "t.c")
+    capture = generate_capture_program(EVERY_TYPE_SOURCE, section, EVERY_TYPE_MANIFEST)
+    # The program's own section pragmas are unknown to gcc; the capture adds no other warning.
+    capture_flags = (*WARNING_FLAGS, "-Wno-unknown-pragmas")
+    capture_bin = build(capture, BuildSpec(workdir=workdir / "cap", flags=capture_flags))
+    assert run(capture_bin, timeout_s=60.0).exit_code == 0
+    driver = generate_replay_driver(EVERY_TYPE_BODY, EVERY_TYPE_MANIFEST, timing_repeats=2)
+    driver_bin = build(driver, BuildSpec(workdir=workdir / "drv", flags=WARNING_FLAGS))
+    (workdir / "drv" / input_checkpoint_name("sec")).write_bytes(
+        (workdir / "cap" / input_checkpoint_name("sec")).read_bytes()
     )
-    body = "d[0] = (float)a[0]; e = (double)(b[1][2] + c);"
-    driver = generate_replay_driver(body, manifest, timing_repeats=2)
-    spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
-    assert build(driver, spec).is_file()
+    assert run(driver_bin, timeout_s=60.0).exit_code == 0
+    assert (workdir / "drv" / output_checkpoint_name("sec")).read_bytes() == (
+        workdir / "cap" / output_checkpoint_name("sec")
+    ).read_bytes()
 
 
 @needs_gcc
 def test_outputs_only_driver_compiles_without_warnings(workdir):
-    # No input to reload: the reader helpers go unused, which must not warn.
+    # No input to reload: the driver has no reader block and no header buffer.
     manifest = manifest_of(VariableSpec("y", "f64", (3,), "out"))
     driver = generate_replay_driver("y[0] = 1.0; y[1] = 2.0; y[2] = 3.0;", manifest)
-    spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
-    assert build(driver, spec).is_file()
+    assert build(driver, BuildSpec(workdir=workdir, flags=WARNING_FLAGS)).is_file()
 
 
 @needs_gcc
 def test_driver_of_several_bodies_runs_the_one_argv_names(workdir):
     manifest = manifest_of(VariableSpec("k", "i32", (), "out"))
     driver = generate_replay_driver(["k = 7;", "k = 8;", "k = 9;"], manifest, timing_repeats=2)
-    spec = BuildSpec(workdir=workdir, flags=("-O3", "-fopenmp", "-Wall", "-Wextra", "-Werror"))
-    binary = build(driver, spec)
+    binary = build(driver, BuildSpec(workdir=workdir, flags=WARNING_FLAGS))
     # No argument runs body 0.
     for argv, value in (([], 7), (["0"], 7), (["1"], 8), (["2"], 9)):
         result = run(binary, timeout_s=60.0, args=argv)
@@ -445,7 +471,7 @@ def test_a_driver_emits_its_shared_code_once():
     manifest = manifest_of(VariableSpec("a", "f64", (4,), "in"), VariableSpec("k", "i32", (), "out"))
     text = generate_replay_driver(["k = 7;", "k = 8;", "k = 9;"], manifest, timing_repeats=2).text
     _, main_text = text.split("int main(")
-    for once in ("double a[4];", "pcaot_ckpt_open(", "k = 0;", "pcaot_ckpt_begin(",
+    for once in ("double a[4];", 'fopen("sec.in.ckpt"', "k = 0;", 'fopen("sec.out.ckpt"',
                  'printf("PCAOT_TIME_NS'):
         assert main_text.count(once) == 1, once
     # Each body between its own two clock reads.
@@ -501,25 +527,3 @@ def test_bodies_named_in_reads_error_lines_only():
 )
 def test_can_share_driver(body, shares):
     assert can_share_driver(body) is shares
-
-
-def _compile_helpers_with(decls, workdir):
-    src = workdir / "helpers_drift.c"
-    src.write_text(decls + "\n" + HELPER_SOURCE)
-    return subprocess.run(
-        ["gcc", "-c", "-Wall", "-Wextra", "-Werror", str(src), "-o", str(workdir / "h.o")],
-        capture_output=True, text=True, check=False,
-    )
-
-
-@needs_gcc
-def test_helper_declarations_match_definitions(workdir):
-    # Drivers see HELPER_DECLS and link HELPER_SOURCE; one translation unit
-    # holding both fails with conflicting types if a prototype drifts.
-    proc = _compile_helpers_with(HELPER_DECLS, workdir)
-    assert proc.returncode == 0, proc.stderr
-    drifted = HELPER_DECLS.replace("uint32_t record_count", "int record_count")
-    assert drifted != HELPER_DECLS
-    proc = _compile_helpers_with(drifted, workdir)
-    assert proc.returncode != 0
-    assert "conflicting types" in proc.stderr

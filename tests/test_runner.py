@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcaot import runner
-from pcaot.instrument import HELPER_SOURCE, GeneratedSource, SourceKind
+from pcaot.instrument import GeneratedSource, SourceKind
 from pcaot.runner import (
     BuildSpec,
     CompileFailure,
@@ -83,18 +83,13 @@ def _executable(path, text):
     return path
 
 
-def _argv_logging_compiler(tmp_path, fail_on=None):
-    # Appends each argv to a log; exits 1 with a message when an argument
-    # names fail_on.  The script path is per test, so the process-wide
-    # build memo sees a fresh compiler_cmd.
+def _argv_logging_compiler(tmp_path):
+    # Appends each argv to a log and exits 0 without writing anything.  The
+    # script path is per test, so the process-wide build memo sees a fresh
+    # compiler_cmd.
     script = tmp_path / "fakecc"
     log = tmp_path / "argv.log"
-    fail = (
-        f'case "$*" in *{fail_on}*) echo "fakecc: cannot compile {fail_on}" >&2; exit 1;; esac\n'
-        if fail_on
-        else ""
-    )
-    _executable(script, f'#!/bin/sh\necho "$@" >> {log}\n{fail}exit 0\n')
+    _executable(script, f'#!/bin/sh\necho "$@" >> {log}\nexit 0\n')
     return f"{script} {{src}} -o {{out}}", log
 
 
@@ -117,66 +112,9 @@ def _writing_compiler(tmp_path, delay_s=0):
     return f"{script} {{src}} -o {{out}}", log
 
 
-def _source_compiles(log):
-    # Compiler calls other than the helper object's.
-    calls = [line.split() for line in log.read_text().splitlines()]
-    return [argv for argv in calls if not argv[0].endswith("pcaot_helpers.c")]
-
-
-def _helper_compiles(log):
-    calls = [line.split() for line in log.read_text().splitlines()]
-    return [argv for argv in calls if argv[0].endswith("pcaot_helpers.c")]
-
-
-def test_driver_builds_share_one_helper_object(tmp_path):
-    compiler_cmd, log = _writing_compiler(tmp_path)
-    workdirs = [(tmp_path / f"d{i}").resolve() for i in range(3)]
-    for i, workdir in enumerate(workdirs):
-        build(_source(f"x{i}"), BuildSpec(compiler_cmd=compiler_cmd, workdir=workdir))
-    helper_compiles = _helper_compiles(log)
-    assert len(helper_compiles) == 1
-    assert helper_compiles[0][3:] == ["-c", "-O3", "-fopenmp"]
-    # Each driver links the object in its own workdir: the first compile's bytes.
-    drivers = _source_compiles(log)
-    assert len(drivers) == 3
-    for argv, workdir in zip(drivers, workdirs):
-        assert argv[3] == str(workdir / "pcaot_helpers.o") and "-c" not in argv
-        assert (workdir / "pcaot_helpers.c").read_text() == HELPER_SOURCE
-        assert (workdir / "pcaot_helpers.o").read_bytes() == (
-            workdirs[0] / "pcaot_helpers.o"
-        ).read_bytes()
-
-    # Other flags need an object of their own.
-    other = BuildSpec(compiler_cmd=compiler_cmd, flags=("-O2",), workdir=tmp_path / "o2")
-    build(_source("x0"), other)
-    helper_compiles = _helper_compiles(log)
-    assert len(helper_compiles) == 2
-    assert helper_compiles[1][3:] == ["-c", "-O2"]
-    assert _source_compiles(log)[-1][3] == str((tmp_path / "o2" / "pcaot_helpers.o").resolve())
-
-    # A capture carries its own copy of the helpers.
-    capture = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "cap")
-    build(_source("x", kind=SourceKind.CAPTURE_PROGRAM), capture)
-    argv = log.read_text().splitlines()[-1].split()
-    assert argv[0].endswith("capture.c")
-    assert not any(arg.endswith(".o") for arg in argv)
-
-
-def test_helper_compile_failure_is_a_compile_failure(tmp_path):
-    compiler_cmd, log = _argv_logging_compiler(tmp_path, fail_on="pcaot_helpers.c")
-    failures = []
-    for i in range(2):
-        spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}")
-        with pytest.raises(CompileFailure) as excinfo:
-            build(_source("x"), spec)
-        assert excinfo.value.stderr == "fakecc: cannot compile pcaot_helpers.c\n"
-        failures.append(excinfo.value)
-    # The failure is kept: the second build calls no compiler, and no driver
-    # compile follows either of them.
-    assert str(failures[1]) == str(failures[0])
-    calls = log.read_text().splitlines()
-    assert len(calls) == 1
-    assert "pcaot_helpers.c" in calls[0]
+def _compiles(log):
+    # Each compiler call's argv.
+    return [line.split() for line in log.read_text().splitlines()]
 
 
 def test_build_creates_nothing_outside_its_workdir(tmp_path, monkeypatch):
@@ -193,33 +131,17 @@ def test_build_creates_nothing_outside_its_workdir(tmp_path, monkeypatch):
     assert list(tmpdir.iterdir()) == []
 
 
-def test_a_replaced_helper_object_does_not_reach_later_drivers(tmp_path):
-    compiler_cmd, log = _writing_compiler(tmp_path)
-    build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d0"))
-    linked = Path(_source_compiles(log)[-1][3])
-    original = linked.read_bytes()
-    # A candidate runs in its workdir and may overwrite the object it was linked with.
-    linked.write_bytes(b"replaced")
-    build(_source("b"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d1"))
-    assert len(_helper_compiles(log)) == 1
-    linked_next = Path(_source_compiles(log)[-1][3])
-    assert linked_next.read_bytes() == original
-
-
 def test_identical_sources_compile_once(tmp_path):
     compiler_cmd, log = _writing_compiler(tmp_path)
     first = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d0"))
     second = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d1"))
-    assert len(_source_compiles(log)) == 1
+    assert len(_compiles(log)) == 1
     assert second.parent.name == "d1" and second.name == "driver"
     assert (tmp_path / "d1" / "driver.c").read_text() == "a"
     # The first build's bytes (its own path included) and mode.
     assert second.read_bytes() == first.read_bytes()
     assert str(first).encode() in second.read_bytes()
     assert stat.S_IMODE(second.stat().st_mode) == 0o751
-    # Only the compile wrote the helper object it linked.
-    assert (tmp_path / "d0" / "pcaot_helpers.o").is_file()
-    assert not (tmp_path / "d1" / "pcaot_helpers.o").exists()
 
 
 def test_a_different_text_flags_compiler_or_kind_compiles_again(tmp_path):
@@ -234,11 +156,11 @@ def test_a_different_text_flags_compiler_or_kind_compiles_again(tmp_path):
     ]
     for i, (source, spec) in enumerate(variants):
         build(source, replace(spec, workdir=tmp_path / f"v{i}"))
-        assert len(_source_compiles(log)) == i + 1
+        assert len(_compiles(log)) == i + 1
     # Each of them is kept.
     for i, (source, spec) in enumerate(variants):
         build(source, replace(spec, workdir=tmp_path / f"again{i}"))
-    assert len(_source_compiles(log)) == len(variants)
+    assert len(_compiles(log)) == len(variants)
 
 
 def test_compile_failure_is_kept(tmp_path):
@@ -248,7 +170,7 @@ def test_compile_failure_is_kept(tmp_path):
         with pytest.raises(CompileFailure) as excinfo:
             build(_source("FAIL"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}"))
         failures.append(excinfo.value)
-    assert len(_source_compiles(log)) == 1
+    assert len(_compiles(log)) == 1
     first, second = failures
     assert second is not first
     assert str(second) == str(first)
@@ -273,7 +195,7 @@ def test_hit_ignores_what_happens_to_the_first_workdir(tmp_path):
     third = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d2"))
     assert not third.is_symlink() and third.read_bytes() == original
     assert victim.read_text() == "keep"
-    assert len(_source_compiles(log)) == 1
+    assert len(_compiles(log)) == 1
 
 
 def test_compile_without_output_is_not_kept(tmp_path):
@@ -281,7 +203,7 @@ def test_compile_without_output_is_not_kept(tmp_path):
     compiler_cmd, log = _argv_logging_compiler(tmp_path)
     for i in range(2):
         build(_source("x"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / f"d{i}"))
-    assert len(_source_compiles(log)) == 2
+    assert len(_compiles(log)) == 2
 
 
 def test_started_builds_share_one_compile(tmp_path):
@@ -292,7 +214,7 @@ def test_started_builds_share_one_compile(tmp_path):
         runner.start_build(_source("a"), replace(spec, workdir=tmp_path / name))
     first = build(_source("a"), replace(spec, workdir=tmp_path / "d0"))
     second = build(_source("a"), replace(spec, workdir=tmp_path / "d1"))
-    assert len(_source_compiles(log)) == 1
+    assert len(_compiles(log)) == 1
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -322,9 +244,8 @@ def test_concurrent_builds_compile_each_source_once(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(binaries) == len(threads) * len(texts)
-    compiled_in = sorted(Path(argv[0]).parent.name for argv in _source_compiles(log))
+    compiled_in = sorted(Path(argv[0]).parent.name for argv in _compiles(log))
     assert compiled_in == ["s0", "s1", "s2", "s3"]
-    assert len(_helper_compiles(log)) == 1
     for (_, text), binary in binaries.items():
         assert binary.read_bytes().startswith(text.encode())
 
@@ -347,12 +268,12 @@ def test_on_failure_queues_its_builds_before_the_failure_is_done(tmp_path):
     assert len(handed) == 1
     assert handed[0][0].startswith("pcaot-build")
     assert "cannot compile" in handed[0][1]
-    assert len(_source_compiles(log)) == 2
+    assert len(_compiles(log)) == 2
     assert build(_source("fallback"), replace(spec, workdir=tmp_path / "b")).is_file()
-    assert len(_source_compiles(log)) == 2
+    assert len(_compiles(log)) == 2
     with pytest.raises(CompileFailure):
         build(_source("FAIL"), replace(spec, workdir=tmp_path / "a"))
-    assert len(_source_compiles(log)) == 3
+    assert len(_compiles(log)) == 3
 
 
 def test_run_passes_args_and_replaces_bytes_that_are_not_utf8(tmp_path):
@@ -365,7 +286,6 @@ def test_run_passes_args_and_replaces_bytes_that_are_not_utf8(tmp_path):
 RENDEZVOUS_CC = """#!/bin/sh
 # A compiler that copies SRC to OUT.  A driver compile first announces
 # itself in MARKS and waits up to 5 s for a second one to arrive.
-case "$1" in *pcaot_helpers.c) cp "$1" "$3"; exit 0;; esac
 touch "{marks}/$(basename "$(dirname "$1")")"
 i=0
 while [ "$(ls "{marks}" | wc -l)" -lt 2 ]; do
