@@ -8,14 +8,16 @@ into metrics and charts.  Each section is read once, before any candidate is
 produced, and every later stage works from that read.  Candidates of every
 backend, LLM or compiler, are produced through one thread pool of
 config.max_inflight workers and persisted in plan order.  Validation then
-decides each version once: a queue step per section generates one replay driver
-for the section, holding the distinct code of every version that needs a
-record, serial included, and queues its compile on runner's pool once, in the
-first of those versions' directories, for every section before the first
-capture runs.  Code that cannot share a driver, and code that gcc names in a
-failed section driver's errors, gets a driver of its own (_SectionDrivers).  A
-loop then captures each section and builds, runs and records its versions,
-selecting each one's code through argv.
+decides each version once: a queue step per section queues its capture, and
+then one driver set for the whole campaign (_Drivers) deals the sections that
+share their support code over one replay driver per build worker (_deal).  A
+driver holds the distinct code of every version of its sections that needs a
+record, serial included, and its compile is queued on runner's pool once, in
+the first of those versions' directories, before the first capture runs.
+Code that cannot share a driver, and code that gcc names in a failed shared
+driver's errors, gets a driver of its own.  A loop then captures each section
+and builds, runs and records its versions, selecting each one's code through
+argv.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -24,9 +26,10 @@ subcommands and by run):
                                 both made again by each run that validates
     sections/<id>/serial/       serial baseline driver scratch
     sections/<id>/candidates/<tool>__<strategy>__<attempt>/
-                                each version's driver.c (often its section's),
-                                driver, and driver.args, the body number that
-                                runs the version's code: ./driver $(cat driver.args)
+                                each version's driver.c (often one that holds
+                                several sections), driver, and driver.args, the
+                                body number over the whole driver that runs the
+                                version's code: ./driver $(cat driver.args)
                                 driver.c is a whole program; gcc driver.c -o
                                 driver with the campaign's flags rebuilds it.
                                 Each version directory, serial/ too, holds a
@@ -87,6 +90,7 @@ from .pattern import (
 )
 from .report import _ensure_dir
 from .runner import (
+    BUILD_WORKERS,
     CompileFailure,
     SpawnFailure,
     build,
@@ -539,7 +543,7 @@ def _validate_code(
     """Build, run, time and compare one version's replay driver.
 
     The driver runs with argv, which selects the version's body, written to
-    driver.args next to it.  A driver that is a ReservedName (_SectionDrivers
+    driver.args next to it.  A driver that is a ReservedName (_Drivers
     rejected the code) is a CompileError without a build, as is a failed
     build.  A scratch that cannot take the driver's files, driver.args or
     the captured input (an OSError) is a RuntimeError, logged with the path.
@@ -629,88 +633,133 @@ def _make_record(
     )
 
 
-class _SectionDrivers:
-    """The replay drivers of one section's versions, and which body each runs.
+def _deal(support_codes: list[str], width: int) -> list[list[int]]:
+    """The sections of each shared replay driver, as indices into support_codes.
 
-    The one place that decides whether a body runs: a body other than the
-    section's own code that names a reserved identifier outside comments
-    and strings (reserved_name_in) gets a ReservedName entry, and nothing is
-    generated, queued or written for it.  Of the other bodies,
-    every one that can_share_driver accepts goes in one section driver,
-    when there are at least two; each other body gets a one-body driver.
-    When a section driver does not compile, the bodies that gcc's error:
-    lines name get one-body drivers and the rest a new section driver; when
-    no line names a body, or the new section driver fails too, each of its
-    bodies gets a one-body driver.  These replacements are queued from the
-    failed compile's pool task (runner.start_build's on_failure), so every
-    compile is queued or done before a build or a timed run stops waiting.
-    A driver whose source cannot be written into its directory (an OSError)
-    is not queued: its bodies, when it has several, get one-body drivers,
-    and the versions of a body that has one retry in their own build().
-    Each driver is queued once, in the directory of the first version that
-    runs one of its bodies.  No lock is needed: all entries of a driver are
-    written before its compile is queued, and a failure hook, on a pool
-    thread, writes only the entries of the driver that failed, so no entry
-    is written after its driver's compile is queued.
+    support_codes holds each section's support code in plan order.  Only
+    sections with the same support code share a driver: the sections of
+    each such group are dealt, in order, into min(their number, width)
+    drivers, so section n of a group goes to the group's driver n mod that
+    count.  Groups come in the order of their first section.
+    """
+    groups: dict[str, list[int]] = {}
+    for n, code in enumerate(support_codes):
+        groups.setdefault(code, []).append(n)
+    drivers = []
+    for members in groups.values():
+        count = min(len(members), width)
+        drivers.extend(members[d::count] for d in range(count))
+    return drivers
+
+
+# A body of one section: (section id, body).
+_Entry = tuple[str, str]
+
+
+class _Drivers:
+    """The replay drivers of a campaign's versions, and which body each runs.
+
+    An entry is a body of one section, so byte-identical bodies of two
+    sections are two entries.  This is the one place that decides whether a
+    body runs: a body other than its section's own code that names a
+    reserved identifier outside comments and strings (reserved_name_in) gets
+    a ReservedName entry, and nothing is generated, queued or written for
+    it.  Of the other entries, those that can_share_driver accepts go in
+    shared drivers: the sections that have any are dealt (_deal) over
+    runner.BUILD_WORKERS drivers, one per compile the pool runs at once, and
+    each such driver holds every shareable entry of its sections.  Each
+    other entry gets a one-body driver.  When a shared driver does not
+    compile, the entries that gcc's error: lines name get one-body drivers
+    and the rest one new driver; when no line names a body, or the new
+    driver fails too, each of its entries gets a one-body driver.  These
+    replacements are queued from the failed compile's pool task
+    (runner.start_build's on_failure), so every compile is queued or done
+    before a build or a timed run stops waiting.  A driver whose source
+    cannot be written into its directory (an OSError) is not queued: its
+    entries, when it has several, get one-body drivers, and the versions of
+    an entry that has one retry in their own build().  Each driver is queued
+    once, in the directory of the first version that runs its first entry.
+    No lock is needed: all entries of a driver are written before its
+    compile is queued, and a failure hook, on a pool thread, writes only the
+    entries of the driver that failed, so no entry is written after its
+    driver's compile is queued.
     """
 
-    def __init__(self, ctx: _SectionContext, config: CampaignConfig) -> None:
-        self._ctx = ctx
+    def __init__(self, config: CampaignConfig) -> None:
         self._config = config
-        self._workdirs: dict[str, Path] = {}
-        # body -> its current driver (or why it was rejected) and the argv selecting it
-        self._drivers: dict[str, tuple[GeneratedSource | ReservedName, tuple[str, ...]]] = {}
+        self._sections: dict[str, _SectionContext] = {}
+        self._workdirs: dict[_Entry, Path] = {}
+        # entry -> its current driver (or why it was rejected) and the argv selecting it
+        self._drivers: dict[_Entry, tuple[GeneratedSource | ReservedName, tuple[str, ...]]] = {}
 
-    def queue(self, workdirs: dict[str, Path]) -> None:
-        """Reject or queue each body; workdirs gives each body its first version's directory."""
-        self._workdirs = workdirs
-        for body in workdirs:
-            name = reserved_name_in(body)
-            if name is not None and body != self._ctx.section.body_text:
-                reason = ReservedName(f"candidate code uses reserved {name!r}")
-                self._drivers[body] = (reason, ())
-        runnable = [body for body in workdirs if body not in self._drivers]
-        shared = [body for body in runnable if can_share_driver(body)]
-        if len(shared) < 2:
-            shared = []
-        self._start(shared, split=True)
-        for body in runnable:
-            if body not in shared:
-                self._start([body])
+    def queue(self, sections: list[tuple[_SectionContext, dict[str, Path]]]) -> None:
+        """Reject or queue each entry; each section's dict gives a body its first version's directory."""
+        shared: list[list[_Entry]] = []
+        alone: list[_Entry] = []
+        for ctx, workdirs in sections:
+            sid = ctx.manifest.section_id
+            self._sections[sid] = ctx
+            mine = []
+            for body, workdir in workdirs.items():
+                entry = (sid, body)
+                self._workdirs[entry] = workdir
+                name = reserved_name_in(body)
+                if name is not None and body != ctx.section.body_text:
+                    reason = ReservedName(f"candidate code uses reserved {name!r}")
+                    self._drivers[entry] = (reason, ())
+                elif can_share_driver(body):
+                    mine.append(entry)
+                else:
+                    alone.append(entry)
+            if mine:
+                shared.append(mine)
+        codes = [self._sections[entries[0][0]].job.support_code for entries in shared]
+        for members in _deal(codes, BUILD_WORKERS):
+            self._start([entry for n in members for entry in shared[n]], split=True)
+        for entry in alone:
+            self._start([entry])
 
-    def driver(self, body: str) -> tuple[GeneratedSource | ReservedName, tuple[str, ...]]:
-        """The driver a body ends up in and the argv that runs it, once no compile is pending."""
+    def driver(self, sid: str, body: str) -> tuple[GeneratedSource | ReservedName, tuple[str, ...]]:
+        """The driver an entry ends up in and the argv that runs it, once no compile is pending."""
         wait_idle()
-        return self._drivers[body]
+        return self._drivers[(sid, body)]
 
-    def _start(self, bodies: list[str], split: bool = False) -> None:
-        # One driver for bodies; _failed(bodies, failure, split) if it holds several and fails.
-        if not bodies:
+    def _start(self, entries: list[_Entry], split: bool = False) -> None:
+        # One driver for entries, each section's contiguous; _failed(entries, failure, split)
+        # if it holds several and fails.
+        if not entries:
             return
+        bodies: dict[str, list[str]] = {}
+        for sid, body in entries:
+            bodies.setdefault(sid, []).append(body)
+        (first, *more) = [(held, self._sections[sid].manifest) for sid, held in bodies.items()]
         driver = generate_replay_driver(
-            bodies, self._ctx.manifest, self._config.timing_repeats, self._ctx.job.support_code
+            *first,
+            self._config.timing_repeats,
+            self._sections[entries[0][0]].job.support_code,
+            more,
         )
-        alone = len(bodies) == 1
-        for k, body in enumerate(bodies):
-            self._drivers[body] = (driver, (str(k),))
-        hook = None if alone else (lambda failure: self._failed(bodies, failure, split))
-        workdir = self._workdirs[bodies[0]]
+        alone = len(entries) == 1
+        for k, entry in enumerate(entries):
+            self._drivers[entry] = (driver, (str(k),))
+        hook = None if alone else (lambda failure: self._failed(entries, failure, split))
+        workdir = self._workdirs[entries[0]]
         try:
             start_build(driver, replace(self._config.build, workdir=workdir), hook)
         except OSError as exc:
             log.warning("cannot queue a replay driver in %s: %s", workdir, exc)
             if not alone:
-                for body in bodies:
-                    self._start([body])
+                for entry in entries:
+                    self._start([entry])
 
-    def _failed(self, bodies: list[str], failure: CompileFailure, split: bool) -> None:
-        # split (the first section driver): the named bodies go alone and the
+    def _failed(self, entries: list[_Entry], failure: CompileFailure, split: bool) -> None:
+        # split (a first shared driver): the named entries go alone and the
         # rest share a new driver.  With none named, or not split, all go alone.
-        named = {bodies[k] for k in bodies_named_in(failure.stderr) if k < len(bodies)}
-        rest = [body for body in bodies if body not in named] if split and named else []
-        for body in bodies:
-            if body not in rest:
-                self._start([body])
+        named = {entries[k] for k in bodies_named_in(failure.stderr) if k < len(entries)}
+        rest = [entry for entry in entries if entry not in named] if split and named else []
+        for entry in entries:
+            if entry not in rest:
+                self._start([entry])
         self._start(rest)
 
 
@@ -721,12 +770,12 @@ def _queue_section(
     experiment: ExperimentPlan,
     rows: dict[tuple, CandidateRow],
     existing: dict[tuple, OutcomeRecord],
-) -> tuple[list[tuple[Origin, str | None]], _SectionDrivers]:
-    """Queue a loaded section's compiles, and return its versions and drivers.
+) -> tuple[list[tuple[Origin, str | None]], dict[str, Path]]:
+    """Queue a loaded section's capture; return its versions and the bodies that need a driver.
 
-    Each version, serial first, is (origin, code).  The body of every
-    version with code and no record goes to the section's drivers, which
-    reject or queue it, and the capture is queued when any version has no
+    Each version, serial first, is (origin, code).  Every version with code
+    and no record puts its body in the returned dict, with the directory of
+    the first such version, and the capture is queued when any version has no
     record.  Raises CaptureFailure when its capture cannot be queued.
     """
     sid = ctx.manifest.section_id
@@ -744,9 +793,7 @@ def _queue_section(
             start_build(ctx.capture, replace(config.build, workdir=_capture_dir(outdir, sid)))
         except OSError as exc:
             raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
-    drivers = _SectionDrivers(ctx, config)
-    drivers.queue(workdirs)
-    return versions, drivers
+    return versions, workdirs
 
 
 def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
@@ -754,9 +801,10 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
 
     Each section is read once (_produce), before any candidate runs, so no
     file a candidate writes can change its serial code or capture.  Once the
-    candidates exist, every section is queued (_queue_section), so the first
-    build() call waits for every compile, replacements of failed section
-    drivers included, and later ones are memo hits.  A section is
+    candidates exist, every section's capture is queued (_queue_section) and
+    then the campaign's drivers (_Drivers), so the first build() call waits
+    for every compile, replacements of failed shared drivers included, and
+    later ones are memo hits.  A section is
     captured afresh just before its versions run, and not at all when every
     version has a record, and again before the next version that runs after
     one that changed its input.  Sections whose reference capture fails are
@@ -779,9 +827,11 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
             queued.append((ctx, *_queue_section(ctx, config, outdir, experiment, rows, existing)))
         except CaptureFailure as exc:
             log.warning("section skipped: %s", exc)
+    drivers = _Drivers(config)
+    drivers.queue([(ctx, workdirs) for ctx, _, workdirs in queued])
     records: list[OutcomeRecord] = []
 
-    for ctx, versions, drivers in queued:
+    for ctx, versions, _ in queued:
         sid = ctx.manifest.section_id
         recorded = [existing.get(_key(sid, origin)) for origin, _ in versions]
         if None not in recorded:
@@ -807,7 +857,7 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
                         break
                     input_changed = False
                 if code is not None:
-                    driver, argv = drivers.driver(code)
+                    driver, argv = drivers.driver(sid, code)
                     scratch = _version_dir(outdir, sid, origin)
                     status, median, wall, input_changed = _validate_code(
                         driver, argv, code, ctx, config, scratch, timeout_s

@@ -13,7 +13,8 @@ little-endian wire only on a little-endian host; on a big-endian host each
 block exits with a "pcaot:" message before touching a checkpoint.  The
 blocks declare their own state (pcaot_ names) inside their braces, so a
 capture adds nothing at file scope but two #include lines, and a driver
-declares nothing at file scope beyond its includes and the support code.
+declares nothing at file scope beyond its includes, the support code, its
+section functions and main.
 They call the C library by name, so a capture fails to build when the
 section's own function declares a local that hides one of those names
 (say, a variable named exit).  The generators:
@@ -22,16 +23,18 @@ section's own function declares a local that hides one of those names
   dumps the section's live-in state right after the start pragma and its
   live-out state right before the stop pragma.  The rewrite only inserts
   lines; every original line survives byte-identical.
-* generate_replay_driver wraps one or more section bodies (original or
-  candidate) of one section in a fresh main() that redeclares the manifest
-  variables, reloads the captured input before each timed repeat, times the
-  body that argv[1] numbers (body 0 with no argument) alone with a monotonic
-  clock, prints one "PCAOT_TIME_NS <n>" line per repeat and writes the
-  resulting output checkpoint.  Each body sits inside do { } while (0)
-  between its own two clock reads, behind a #line marker that makes gcc
-  name the body in its errors (bodies_named_in).  can_share_driver says
-  which bodies can go in a driver with others, and reserved_name_in which
-  code names the driver's own state.
+* generate_replay_driver wraps the section bodies (original or candidate)
+  of one or more sections that share their support code in a fresh
+  program.  Each section gets a function pcaot_section_<n> that redeclares
+  its manifest variables, reloads its captured input before each timed
+  repeat, times one body alone with a monotonic clock, prints one
+  "PCAOT_TIME_NS <n>" line per repeat and writes the resulting output
+  checkpoint; main() calls the function of the body that argv[1] numbers,
+  over the whole driver (body 0 with no argument).  Each body sits inside
+  do { } while (0) between its own two clock reads, behind a #line marker
+  that makes gcc name the body in its errors (bodies_named_in).
+  can_share_driver says which bodies can go in a driver with others, and
+  reserved_name_in which code names the driver's own state.
 
 Drivers declare every array static, the timing buffer too, so no size meets a
 stack limit, and sizeof, &a and whole-array OpenMP clauses hold at any size.
@@ -309,75 +312,34 @@ def _zero(var: VariableSpec) -> str:
     return f"        memset((void *)({var.name}), 0, {var.byte_size}ull);"
 
 
-def generate_replay_driver(
-    section_body: str | Sequence[str],
+def _section_function(
+    n: int,
+    first: int,
+    bodies: list[str],
     manifest: StateManifest,
-    timing_repeats: int = 3,
-    support_code: str = "",
-) -> GeneratedSource:
-    """Wrap one section body, or several, in a standalone timing-and-checkpoint driver.
-
-    The driver reloads the captured input (and re-zeroes pure-out
-    variables) before every repeat so each repeat starts from identical
-    state, times only the body with CLOCK_MONOTONIC, writes the output
-    checkpoint after the final repeat, then prints one timing line per
-    repeat.  support_code is inserted at file scope for bodies that call
-    helper functions; the driver itself declares nothing there.  Arrays and
-    the timing buffer are static: assigning to an array's name does not
-    compile.
-
-    A string is a sequence of one body.  main(pcaot_argc, pcaot_argv)
-    declares the manifest variables once, runs the body whose number is
-    argv[1] (body 0 with no argument) and exits 3 on any other argv.  Body
-    k sits between its own two clock reads, inside do { } while (0), so a
-    top-level break or continue ends the body and not the repeat, after a
-    #line 1 "pcaot_body_<k>.c" marker that makes gcc name the body in its
-    diagnostics (bodies_named_in).  Only bodies that can_share_driver
-    accepts belong in a driver with others.  Every manifest variable has a
-    C type (C_TYPES), so it raises no PcaotError.
-    """
-    bodies = [section_body] if isinstance(section_body, str) else list(section_body)
-    if not bodies:
-        raise ValueError("a replay driver needs at least one body")
-    if timing_repeats < 1:
-        raise ValueError("timing_repeats must be at least 1")
+    timing_repeats: int,
+    lines: list[str],
+) -> None:
+    """Append pcaot_section_<n>, which runs the section's bodies numbered first, first + 1, ..."""
     sid = manifest.section_id
-
-    lines: list[str] = [
-        "#define _POSIX_C_SOURCE 200809L",
-        "#include <time.h>",
-        "#include <math.h>",
-        *_DRIVER_INCLUDES,
-    ]
-    if support_code.strip():
-        lines.append(support_code.rstrip("\n"))
-    lines.append("")
-    lines.append("int main(int pcaot_argc, char **pcaot_argv) {")
+    lines.append(f"static __attribute__((noinline)) int pcaot_section_{n}(int pcaot_which) {{")
     lines.extend(_declaration(var) for var in manifest.variables)
     lines.append(f"    static long long pcaot_ns[{timing_repeats}];")
     lines.append("    struct timespec pcaot_t0 = {0, 0}, pcaot_t1 = {0, 0};")
-    lines.append("    int pcaot_rep, pcaot_which = -1;")
-    lines.append(
-        '    const char *pcaot_arg = pcaot_argc == 1 ? "0" : pcaot_argc == 2 ? pcaot_argv[1] : "";'
-    )
-    lines.extend(
-        f'    if (strcmp(pcaot_arg, "{k}") == 0) pcaot_which = {k};' for k in range(len(bodies))
-    )
-    lines.append(
-        f'    if (pcaot_which < 0) {{ fputs("pcaot: run as: ./driver N, with N from 0 to '
-        f'{len(bodies) - 1}\\n", stderr); exit(3); }}'
-    )
+    lines.append("    int pcaot_rep;")
     lines.append(f"    for (pcaot_rep = 0; pcaot_rep < {timing_repeats}; pcaot_rep++) {{")
     if manifest.inputs:
         lines.extend(_reload_block(manifest.inputs, input_checkpoint_name(sid), "        "))
     lines.extend(_zero(var) for var in manifest.variables if var.direction == "out")
-    for k, body in enumerate(bodies):
+    for k, body in enumerate(bodies, first):
         lines.append(f"        if (pcaot_which == {k}) {{")
         lines.append("            clock_gettime(CLOCK_MONOTONIC, &pcaot_t0);")
         lines.append(f'#line 1 "{BODY_PREFIX}{k}.c"')
         lines.append("            do { /* pcaot: section body */")
-        lines.append(body)
+        lines.extend(body.split("\n"))
         lines.append("            } while (0); /* pcaot: end section body */")
+        # Back to the driver's own code, for gcc's diagnostics too (each item of lines is a line).
+        lines.append(f'#line {len(lines) + 2} "driver.c"')
         lines.append("            clock_gettime(CLOCK_MONOTONIC, &pcaot_t1);")
         lines.append("        }")
     lines.append(
@@ -391,8 +353,85 @@ def generate_replay_driver(
     lines.append("    }")
     lines.append("    return 0;")
     lines.append("}")
+    lines.append("")
+
+
+def generate_replay_driver(
+    section_body: str | Sequence[str],
+    manifest: StateManifest,
+    timing_repeats: int = 3,
+    support_code: str = "",
+    more_sections: Sequence[tuple[str | Sequence[str], StateManifest]] = (),
+) -> GeneratedSource:
+    """Wrap the bodies of one section, or of several, in a standalone timing-and-checkpoint driver.
+
+    Section 0 is section_body (a string is a sequence of one body) with
+    manifest; more_sections holds the (bodies, manifest) of sections 1, 2,
+    ...  Section n becomes pcaot_section_<n>(pcaot_which), which declares
+    its manifest variables, reloads the section's captured input (and
+    re-zeroes pure-out variables) before every repeat so each repeat starts
+    from identical state, times only the body with CLOCK_MONOTONIC, writes
+    the section's output checkpoint after the final repeat, then prints one
+    timing line per repeat.  Arrays and the timing buffer are static:
+    assigning to an array's name does not compile.  support_code is inserted
+    once at file scope for bodies that call helper functions; every section
+    of a driver shares it.  Each section function is noinline, so its code
+    does not depend on the sections it shares a driver with.
+
+    Bodies are numbered over the whole driver, section 0's first.
+    main(pcaot_argc, pcaot_argv) runs the body whose number is argv[1] (body
+    0 with no argument) through its section's function and exits 3 on any
+    other argv.  Body k sits between its own two clock reads, inside do { }
+    while (0), so a top-level break or continue ends the body and not the
+    repeat, after a #line 1 "pcaot_body_<k>.c" marker that makes gcc name
+    the body in its diagnostics (bodies_named_in); a #line back to driver.c
+    follows it.  Only bodies that can_share_driver accepts belong in a driver
+    with others.  The GeneratedSource bears section 0's id.  Every manifest
+    variable has a C type (C_TYPES), so it raises no PcaotError.
+    """
+    sections = [
+        ([bodies] if isinstance(bodies, str) else list(bodies), man)
+        for bodies, man in ((section_body, manifest), *more_sections)
+    ]
+    if not all(bodies for bodies, _ in sections):
+        raise ValueError("a replay driver needs at least one body per section")
+    if timing_repeats < 1:
+        raise ValueError("timing_repeats must be at least 1")
+
+    lines: list[str] = [
+        "#define _POSIX_C_SOURCE 200809L",
+        "#include <time.h>",
+        "#include <math.h>",
+        *_DRIVER_INCLUDES,
+    ]
+    if support_code.strip():
+        lines.extend(support_code.rstrip("\n").split("\n"))
+    lines.append("")
+    first, ends = 0, []
+    for n, (bodies, man) in enumerate(sections):
+        _section_function(n, first, bodies, man, timing_repeats, lines)
+        first += len(bodies)
+        ends.append(first)
+    lines.append("int main(int pcaot_argc, char **pcaot_argv) {")
+    lines.append("    int pcaot_which = -1;")
+    lines.append(
+        '    const char *pcaot_arg = pcaot_argc == 1 ? "0" : pcaot_argc == 2 ? pcaot_argv[1] : "";'
+    )
+    lines.extend(
+        f'    if (strcmp(pcaot_arg, "{k}") == 0) pcaot_which = {k};' for k in range(first)
+    )
+    lines.append(
+        f'    if (pcaot_which < 0) {{ fputs("pcaot: run as: ./driver N, with N from 0 to '
+        f'{first - 1}\\n", stderr); exit(3); }}'
+    )
+    lines.extend(
+        f"    if (pcaot_which < {end}) return pcaot_section_{n}(pcaot_which);"
+        for n, end in enumerate(ends[:-1])
+    )
+    lines.append(f"    return pcaot_section_{len(ends) - 1}(pcaot_which);")
+    lines.append("}")
     return GeneratedSource(
-        kind=SourceKind.REPLAY_DRIVER, section_id=sid, text="\n".join(lines) + "\n"
+        kind=SourceKind.REPLAY_DRIVER, section_id=manifest.section_id, text="\n".join(lines) + "\n"
     )
 
 

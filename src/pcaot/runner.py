@@ -74,8 +74,9 @@ _TIMED_RUN_LOCK = threading.Lock()
 # build key -> Future of the first compile's (file mode, output bytes), or of its CompileFailure
 _BUILDS: dict[str, Future] = {}
 _BUILDS_LOCK = threading.Lock()
-# Threads start on the first submit, not at import.
-_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)), thread_name_prefix="pcaot-build")
+# One compile per usable core; threads start on the first submit, not at import.
+BUILD_WORKERS = len(os.sched_getaffinity(0))
+_POOL = ThreadPoolExecutor(BUILD_WORKERS, thread_name_prefix="pcaot-build")
 
 
 class CompileFailure(PcaotError):

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -1131,6 +1132,162 @@ def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named)
     for version_dir in (section / "serial", *(section / "candidates").iterdir()):
         assert (version_dir / "driver.args").read_text() == "0\n"
         assert "pcaot_body_1" not in (version_dir / "driver.c").read_text()
+
+
+def _tiny_jobs(tmp_path, *ids):
+    # Sections with the tiny section's code and manifest under other ids.
+    return tuple(
+        _write_program(
+            tmp_path,
+            SECTION_SOURCE.replace("id=tiny", f"id={sid}"),
+            {**SECTION_MANIFEST, "section_id": sid},
+        )
+        for sid in ids
+    )
+
+
+def _tiny_config(jobs, responses, **kwargs):
+    return CampaignConfig(
+        sections=jobs,
+        llm_backends=(CountingMock("mock", responses),),
+        strategies=kwargs.pop("strategies", (PromptStrategy.IP,)),
+        attempts=1,
+        timing_repeats=1,
+        threads=1,
+        **kwargs,
+    )
+
+
+def test_sections_are_dealt_over_the_build_workers_by_support_code():
+    threads = threading.active_count()
+    codes = ["", "", "h", "", "h"]
+    assert campaign._deal(codes, 1) == [[0, 1, 3], [2, 4]]
+    assert campaign._deal(codes, 2) == [[0, 3], [1], [2], [4]]
+    assert campaign._deal(codes, 8) == [[0], [1], [3], [2], [4]]
+    assert campaign._deal([], 2) == []
+    assert threading.active_count() == threads
+
+
+@needs_gcc
+@pytest.mark.parametrize("width", [1, 2, None])
+def test_a_campaign_compiles_its_captures_and_one_driver_per_build_worker(
+    tmp_path, monkeypatch, width
+):
+    if width is not None:
+        monkeypatch.setattr(campaign, "BUILD_WORKERS", width)
+    spec, log = _logging_gcc(tmp_path)
+    jobs = _tiny_jobs(tmp_path, "t0", "t1", "t2")
+    config = _tiny_config(jobs, {"*": GOOD}, build=spec)
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert [r.status for r in records] == [ValidationStatus.PASS] * 6
+    compiled = log.read_text().splitlines()
+    assert len(compiled) == len(jobs) + min(len(jobs), campaign.BUILD_WORKERS)
+    # Section n is dealt to driver n mod the driver count.
+    drivers = min(len(jobs), campaign.BUILD_WORKERS)
+    text = {n: (outdir / "sections" / f"t{n}" / "serial" / "driver.c").read_text() for n in range(3)}
+    for n in (1, 2):
+        assert (text[n] == text[0]) is (n % drivers == 0)
+
+
+@needs_gcc
+def test_sections_with_identical_bodies_keep_their_own_entries(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "BUILD_WORKERS", 1)
+    config = _tiny_config(_tiny_jobs(tmp_path, "t0", "t1"), {"*": GOOD})
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert [(r.section_id, r.tool, r.status) for r in records] == [
+        (sid, tool, ValidationStatus.PASS) for sid in ("t0", "t1") for tool in ("serial", "mock")
+    ]
+    # One driver of both sections, whose bodies are the same two texts:
+    # t1's follow t0's, and each runs in its own section's function.
+    dirs = [outdir / "sections" / sid / version
+            for sid in ("t0", "t1") for version in ("serial", "candidates/mock__IP__1")]
+    assert [(d / "driver.args").read_text() for d in dirs] == ["0\n", "1\n", "2\n", "3\n"]
+    assert len({(d / "driver.c").read_bytes() for d in dirs}) == 1
+    assert "pcaot_section_1(pcaot_which)" in (dirs[0] / "driver.c").read_text()
+
+
+@needs_gcc
+def test_a_label_may_recur_in_bodies_of_sections_that_share_a_driver(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "BUILD_WORKERS", 1)
+    spec, log = _logging_gcc(tmp_path)
+    labelled = GOOD.replace("\n```", "\n    done: ;\n```")
+    config = _tiny_config(_tiny_jobs(tmp_path, "t0", "t1"), {"*": labelled}, build=spec)
+    records = execute(plan(config), config, tmp_path / "out")
+    assert [r.status for r in records] == [ValidationStatus.PASS] * 4
+    # Two captures and the one driver, which compiled at the first try.
+    assert len(log.read_text().splitlines()) == 3
+
+
+@needs_gcc
+def test_sections_with_different_support_code_never_share_a_driver(tmp_path, monkeypatch):
+    monkeypatch.setattr(campaign, "BUILD_WORKERS", 1)
+    # The same helper name, defined two ways: one translation unit could not hold both.
+    t0, t1, t2 = _tiny_jobs(tmp_path, "t0", "t1", "t2")
+    jobs = (
+        replace(t0, support_code="static double scale(void) { return 1.0; }\n"),
+        replace(t1, support_code="static int scale(void) { return 1; }\n"),
+        t2,
+    )
+    spec, log = _logging_gcc(tmp_path)
+    config = _tiny_config(jobs, {"*": GOOD}, build=spec)
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert [r.status for r in records] == [ValidationStatus.PASS] * 6
+    assert len(log.read_text().splitlines()) == 6
+    for job in jobs:
+        text = (outdir / "sections" / job.source_path.stem / "serial" / "driver.c").read_text()
+        assert "pcaot_section_1" not in text
+        assert text.count("scale(void)") == (job.support_code != "")
+
+
+@needs_gcc
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_syntax_error_in_one_section_leaves_the_others_verdicts_unchanged(
+    tmp_path, monkeypatch, width
+):
+    monkeypatch.setattr(campaign, "BUILD_WORKERS", width)
+    spec, log = _logging_gcc(tmp_path)
+    responses = {"t1/IP": SYNTAX, "t2/IP": WRONG, "*": GOOD}
+    strategies = (PromptStrategy.IP, PromptStrategy.DIP)
+    config = _tiny_config(_tiny_jobs(tmp_path, "t0", "t1", "t2"), responses,
+                          strategies=strategies, build=spec)
+    records = execute(plan(config), config, tmp_path / "out")
+    statuses = {(r.section_id, r.tool, r.strategy): r.status for r in records}
+    expected = {
+        (sid, tool, strategy): ValidationStatus.PASS
+        for sid in ("t0", "t1", "t2")
+        for tool, strategy in (("serial", None), ("mock", "DIP"), ("mock", "IP"))
+    }
+    expected[("t1", "mock", "IP")] = ValidationStatus.COMPILE_ERROR
+    expected[("t2", "mock", "IP")] = ValidationStatus.NUMERIC_MISMATCH
+    assert statuses == expected
+    # Three captures, then in one driver of all three sections: it fails,
+    # SYNTAX goes alone and the other bodies share a new driver.  With a
+    # driver per section, only t1's falls back.
+    assert len(log.read_text().splitlines()) == (3 + 3 if width == 1 else 3 + 3 + 2)
+
+
+@needs_gcc
+def test_a_candidate_that_calls_a_section_function_is_a_compile_error_without_a_build(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(campaign, "BUILD_WORKERS", 1)
+    spec, log = _logging_gcc(tmp_path)
+    calling = GOOD.replace("\n```", "\n    if (total < 0.0) pcaot_section_0(0);\n```")
+    config = _tiny_config(_tiny_jobs(tmp_path, "t0", "t1"), {"t1": calling, "*": GOOD}, build=spec)
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert [(r.section_id, r.tool, r.status) for r in records] == [
+        ("t0", "serial", ValidationStatus.PASS),
+        ("t0", "mock", ValidationStatus.PASS),
+        ("t1", "serial", ValidationStatus.PASS),
+        ("t1", "mock", ValidationStatus.COMPILE_ERROR),
+    ]
+    assert not (outdir / "sections" / "t1" / "candidates" / "mock__IP__1").exists()
+    # Two captures and the driver of the three other versions.
+    assert len(log.read_text().splitlines()) == 3
 
 
 # Stores how many CPUs the body's thread may run on.

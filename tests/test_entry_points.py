@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from pcaot import campaign, report
+from pcaot.sections import StateManifest, VariableSpec
 
 from conftest import REPO_ROOT
 
@@ -29,6 +30,29 @@ def test_the_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert {name: getattr(campaign, name) for name in BENCHMARK_NAMES} == originals
     assert campaign.aggregate is report.aggregate
+
+
+def test_the_tracer_books_a_driver_of_two_sections_to_the_first(monkeypatch):
+    # The tracer binds generate_replay_driver's manifest argument and reads its section_id.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    from tracing import CAMPAIGN_TARGETS, Tracer
+
+    def manifest(section_id):
+        variables = (VariableSpec("k", "i32", (), "out"),)
+        return StateManifest(section_id, variables, parallelizable=True, expected_pattern="PO")
+
+    tracer = Tracer(CAMPAIGN_TARGETS)
+    tracer.install()
+    try:
+        driver = campaign.generate_replay_driver(
+            ["k = 1;"], manifest("first"), 1, "", [(["k = 2;"], manifest("second"))]
+        )
+    finally:
+        tracer.uninstall()
+    assert "pcaot_section_1" in driver.text
+    (span,) = (s for s in tracer.spans if s.name == "generate_replay_driver")
+    assert span.version == "first"
+    assert not span.failed
 
 
 def test_config_and_report_do_not_import_the_pipeline():

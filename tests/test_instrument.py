@@ -461,6 +461,8 @@ def test_one_body_driver_is_the_same_from_a_string_or_a_list():
     text = generate_replay_driver("k = 7;", manifest).text
     assert generate_replay_driver(["k = 7;"], manifest).text == text
     assert "int main(int pcaot_argc, char **pcaot_argv) {" in text
+    assert text.count("static __attribute__((noinline)) int pcaot_section_0(int pcaot_which) {") == 1
+    assert "pcaot_section_1" not in text
     assert text.count('#line 1 "pcaot_body_0.c"') == 1
     assert "pcaot_body_1" not in text
     with pytest.raises(ValueError):
@@ -470,10 +472,10 @@ def test_one_body_driver_is_the_same_from_a_string_or_a_list():
 def test_a_driver_emits_its_shared_code_once():
     manifest = manifest_of(VariableSpec("a", "f64", (4,), "in"), VariableSpec("k", "i32", (), "out"))
     text = generate_replay_driver(["k = 7;", "k = 8;", "k = 9;"], manifest, timing_repeats=2).text
-    _, main_text = text.split("int main(")
+    _, section_text = text.split("pcaot_section_0(int pcaot_which) {")
     for once in ("double a[4];", 'fopen("sec.in.ckpt"', "k = 0;", 'fopen("sec.out.ckpt"',
                  'printf("PCAOT_TIME_NS'):
-        assert main_text.count(once) == 1, once
+        assert section_text.count(once) == 1, once
     # Each body between its own two clock reads.
     assert text.count("clock_gettime(") == 6
     assert text.count("do { /* pcaot: section body */") == 3
@@ -487,6 +489,50 @@ def test_gcc_names_the_failing_body(workdir):
     with pytest.raises(CompileFailure) as excinfo:
         build(driver, BuildSpec(workdir=workdir))
     assert bodies_named_in(excinfo.value.stderr) == {1, 3}
+
+
+@needs_gcc
+def test_a_driver_of_two_sections_numbers_bodies_over_the_whole_driver(workdir):
+    # Both sections name their variable k, with other types and extents.
+    first = manifest_of(VariableSpec("k", "i32", (), "out"))
+    second = manifest_of(VariableSpec("k", "f64", (2,), "out"), section_id="two")
+    driver = generate_replay_driver(
+        ["k = 7;", "k = 8;"], first, 2, "", [(["k[0] = 9.0; k[1] = 1.0;", "k[1] = 2.0;"], second)]
+    )
+    assert driver.section_id == "sec"
+    binary = build(driver, BuildSpec(workdir=workdir, flags=WARNING_FLAGS))
+    for argv, sid, value in (
+        ([], "sec", 7), (["1"], "sec", 8), (["2"], "two", [9.0, 1.0]), (["3"], "two", [0.0, 2.0])
+    ):
+        for name in ("sec", "two"):
+            (workdir / output_checkpoint_name(name)).unlink(missing_ok=True)
+        result = run(binary, timeout_s=60.0, args=argv)
+        assert result.exit_code == 0, result.stderr
+        assert len(collect_timing(result, 2).samples_ns) == 2
+        out = read_checkpoint_file(workdir / output_checkpoint_name(sid))
+        assert out.record("k").values().tolist() == value
+        other = "two" if sid == "sec" else "sec"
+        assert not (workdir / output_checkpoint_name(other)).exists()
+    result = run(binary, timeout_s=60.0, args=["4"])
+    assert result.exit_code == 3
+    assert "pcaot: run as: ./driver N, with N from 0 to 3" in result.stderr
+
+
+@needs_gcc
+def test_gcc_names_a_failing_body_of_a_later_section_by_its_driver_wide_number(workdir):
+    first = manifest_of(VariableSpec("k", "i32", (), "out"))
+    # A variable named size_t hides the type that the reload block of the
+    # second section declares its table with: an error in the driver's own
+    # code, after the first section's last body, which names no body.
+    second = manifest_of(
+        VariableSpec("size_t", "f64", (2,), "in"), VariableSpec("n", "i32", (), "out"),
+        section_id="two",
+    )
+    driver = generate_replay_driver(["k = 7;", "k = 8;"], first, 1, "", [(["n = 1;", "n = k;"], second)])
+    with pytest.raises(CompileFailure) as excinfo:
+        build(driver, BuildSpec(workdir=workdir))
+    assert "driver.c:" in excinfo.value.stderr
+    assert bodies_named_in(excinfo.value.stderr) == {3}
 
 
 def test_bodies_named_in_reads_error_lines_only():
