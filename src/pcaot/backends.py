@@ -34,6 +34,7 @@ API_KEY_ENV = "PCAOT_LLM_API_KEY"
 DEFAULT_TEMPERATURE = 0.2
 DEFAULT_TOP_P = 0.1
 MAX_TRIES = 3
+REQUEST_TIMEOUT_S = 120.0
 
 
 class PromptStrategy(Enum):
@@ -210,15 +211,14 @@ def request_llm(
     endpoint: str,
     credentials: str | None = None,
     tool_id: str | None = None,
-    timeout_s: float = 120.0,
-    max_tries: int = MAX_TRIES,
     backoff_s: float = 0.5,
 ) -> CandidateVersion:
     """Send one prompt to a chat-completions endpoint and extract the code.
 
-    Connection errors, 5xx and 429 are retried with exponential backoff up
-    to max_tries total tries; 401/403 raise AuthError immediately, other
-    4xx raise TransportError immediately.
+    Each try waits up to REQUEST_TIMEOUT_S seconds.  Connection errors, 5xx
+    and 429 are retried with exponential backoff up to MAX_TRIES total
+    tries; 401/403 raise AuthError immediately, other 4xx raise
+    TransportError immediately.
     """
     if request.strategy is None:
         raise ValueError("LLM requests need a prompt strategy")
@@ -233,11 +233,13 @@ def request_llm(
     }
     headers = {"Authorization": f"Bearer {key}"}
     last_error: PcaotError | None = None
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         if attempt:
             time.sleep(backoff_s * 2 ** (attempt - 1))
         try:
-            response = requests.post(endpoint, json=body, headers=headers, timeout=timeout_s)
+            response = requests.post(
+                endpoint, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S
+            )
         except requests.RequestException as exc:
             last_error = TransportError(f"request to {endpoint} failed: {exc}")
             continue

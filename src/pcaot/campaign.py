@@ -12,12 +12,13 @@ decides each version once: a queue step per section queues its capture, and
 then one driver set for the whole campaign (_Drivers) deals the sections that
 share their support code over one replay driver per build worker (_deal).  A
 driver holds the distinct code of every version of its sections that needs a
-record, serial included, and its compile is queued on runner's pool once, in
-the first of those versions' directories, before the first capture runs.
-Code that cannot share a driver, and code that gcc names in a failed shared
-driver's errors, gets a driver of its own.  A loop then captures each section
-and builds, runs and records its versions, selecting each one's code through
-argv.
+record, serial included, and its compile is queued on runner's pool once,
+in a private directory, before the first capture runs.  Code that cannot
+share a driver, and code that gcc names in a failed shared driver's errors,
+gets a driver of its own.  A loop then captures each section and builds,
+runs and records its versions, selecting each one's code through argv.  The
+harness writes each file of a version directory as a new file, so a path
+that a candidate planted there is replaced, never written through.
 
 Filesystem contract under the output directory (shared by the staged CLI
 subcommands and by run):
@@ -98,6 +99,7 @@ from .runner import (
     run,
     start_build,
     wait_idle,
+    write_new,
 )
 from .sections import ExperimentalSection, StateManifest, extract_sections, load_manifest_file
 
@@ -547,6 +549,9 @@ def _validate_code(
     rejected the code) is a CompileError without a build, as is a failed
     build.  A scratch that cannot take the driver's files, driver.args or
     the captured input (an OSError) is a RuntimeError, logged with the path.
+    driver.args and the driver's files are written as new files, and the
+    output checkpoint left by an earlier run is deleted first, so none of
+    them is written through a link that a candidate planted.
     The captured input is hard-linked into scratch (_place_input), so the
     version shares it with its capture; when the run changed its stat (a
     write, link or unlink through any path), the version is a RuntimeError,
@@ -560,7 +565,8 @@ def _validate_code(
         if isinstance(driver, ReservedName):
             raise driver
         binary = build(driver, replace(config.build, workdir=scratch))
-        (scratch / "driver.args").write_text(" ".join(argv) + "\n", encoding="utf-8")
+        write_new(scratch / "driver.args", (" ".join(argv) + "\n").encode("utf-8"))
+        (scratch / output_checkpoint_name(ctx.manifest.section_id)).unlink(missing_ok=True)
         stamp = _place_input(ctx.in_ckpt, scratch) if ctx.in_ckpt is not None else None
     except PcaotError as exc:
         detail = getattr(exc, "stderr", "") or str(exc)
@@ -674,11 +680,7 @@ class _Drivers:
     driver fails too, each of its entries gets a one-body driver.  These
     replacements are queued from the failed compile's pool task
     (runner.start_build's on_failure), so every compile is queued or done
-    before a build or a timed run stops waiting.  A driver whose source
-    cannot be written into its directory (an OSError) is not queued: its
-    entries, when it has several, get one-body drivers, and the versions of
-    an entry that has one retry in their own build().  Each driver is queued
-    once, in the directory of the first version that runs its first entry.
+    before a build or a timed run stops waiting.  Each driver is queued once.
     No lock is needed: all entries of a driver are written before its
     compile is queued, and a failure hook, on a pool thread, writes only the
     entries of the driver that failed, so no entry is written after its
@@ -688,21 +690,19 @@ class _Drivers:
     def __init__(self, config: CampaignConfig) -> None:
         self._config = config
         self._sections: dict[str, _SectionContext] = {}
-        self._workdirs: dict[_Entry, Path] = {}
         # entry -> its current driver (or why it was rejected) and the argv selecting it
         self._drivers: dict[_Entry, tuple[GeneratedSource | ReservedName, tuple[str, ...]]] = {}
 
-    def queue(self, sections: list[tuple[_SectionContext, dict[str, Path]]]) -> None:
-        """Reject or queue each entry; each section's dict gives a body its first version's directory."""
+    def queue(self, sections: list[tuple[_SectionContext, list[str]]]) -> None:
+        """Reject or queue each entry: each section with the distinct bodies that need a driver."""
         shared: list[list[_Entry]] = []
         alone: list[_Entry] = []
-        for ctx, workdirs in sections:
+        for ctx, bodies in sections:
             sid = ctx.manifest.section_id
             self._sections[sid] = ctx
             mine = []
-            for body, workdir in workdirs.items():
+            for body in bodies:
                 entry = (sid, body)
-                self._workdirs[entry] = workdir
                 name = reserved_name_in(body)
                 if name is not None and body != ctx.section.body_text:
                     reason = ReservedName(f"candidate code uses reserved {name!r}")
@@ -743,14 +743,7 @@ class _Drivers:
         for k, entry in enumerate(entries):
             self._drivers[entry] = (driver, (str(k),))
         hook = None if alone else (lambda failure: self._failed(entries, failure, split))
-        workdir = self._workdirs[entries[0]]
-        try:
-            start_build(driver, replace(self._config.build, workdir=workdir), hook)
-        except OSError as exc:
-            log.warning("cannot queue a replay driver in %s: %s", workdir, exc)
-            if not alone:
-                for entry in entries:
-                    self._start([entry])
+        start_build(driver, self._config.build, hook)
 
     def _failed(self, entries: list[_Entry], failure: CompileFailure, split: bool) -> None:
         # split (a first shared driver): the named entries go alone and the
@@ -766,34 +759,27 @@ class _Drivers:
 def _queue_section(
     ctx: _SectionContext,
     config: CampaignConfig,
-    outdir: Path,
     experiment: ExperimentPlan,
     rows: dict[tuple, CandidateRow],
     existing: dict[tuple, OutcomeRecord],
-) -> tuple[list[tuple[Origin, str | None]], dict[str, Path]]:
+) -> tuple[list[tuple[Origin, str | None]], list[str]]:
     """Queue a loaded section's capture; return its versions and the bodies that need a driver.
 
-    Each version, serial first, is (origin, code).  Every version with code
-    and no record puts its body in the returned dict, with the directory of
-    the first such version, and the capture is queued when any version has no
-    record.  Raises CaptureFailure when its capture cannot be queued.
+    Each version, serial first, is (origin, code).  The bodies are the
+    distinct code of the versions with code and no record, in version
+    order, and the capture is queued when any version has no record.
     """
     sid = ctx.manifest.section_id
     versions = []
-    workdirs: dict[str, Path] = {}
     for origin in (Origin(tool_id=SERIAL_TOOL_ID), *experiment.candidate_origins):
         row = rows.get(_key(sid, origin))
         is_serial = origin.tool_id == SERIAL_TOOL_ID
         code = ctx.section.body_text if is_serial else (row.code if row is not None else None)
-        if code is not None and _key(sid, origin) not in existing:
-            workdirs.setdefault(code, _version_dir(outdir, sid, origin))
         versions.append((origin, code))
-    if any(_key(sid, origin) not in existing for origin, _ in versions):
-        try:
-            start_build(ctx.capture, replace(config.build, workdir=_capture_dir(outdir, sid)))
-        except OSError as exc:
-            raise CaptureFailure(f"capture build failed for {sid!r}: {exc}") from exc
-    return versions, workdirs
+    pending = [code for origin, code in versions if _key(sid, origin) not in existing]
+    if pending:
+        start_build(ctx.capture, config.build)
+    return versions, [code for code in dict.fromkeys(pending) if code is not None]
 
 
 def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) -> list[OutcomeRecord]:
@@ -821,14 +807,9 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     records_path = outdir / "records.jsonl"
     existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
     loaded, rows = _produce(config, outdir, experiment)
-    queued = []
-    for ctx in loaded:
-        try:
-            queued.append((ctx, *_queue_section(ctx, config, outdir, experiment, rows, existing)))
-        except CaptureFailure as exc:
-            log.warning("section skipped: %s", exc)
+    queued = [(ctx, *_queue_section(ctx, config, experiment, rows, existing)) for ctx in loaded]
     drivers = _Drivers(config)
-    drivers.queue([(ctx, workdirs) for ctx, _, workdirs in queued])
+    drivers.queue([(ctx, bodies) for ctx, _, bodies in queued])
     records: list[OutcomeRecord] = []
 
     for ctx, versions, _ in queued:

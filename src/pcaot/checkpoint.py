@@ -106,7 +106,6 @@ class Checkpoint:
     """An ordered collection of variable records."""
 
     records: tuple[VarRecord, ...] = ()
-    version: int = WIRE_VERSION
 
     def __post_init__(self) -> None:
         names = [r.name for r in self.records]
@@ -124,11 +123,11 @@ class Checkpoint:
 HeaderFields = tuple[tuple[str, bytes], ...]
 
 
-def file_header(record_count: int, version: int = WIRE_VERSION) -> HeaderFields:
+def file_header(record_count: int) -> HeaderFields:
     """The fields before a checkpoint's first record: magic, version and record count."""
     return (
         ("magic", MAGIC),
-        ("version", struct.pack("<I", version)),
+        ("version", struct.pack("<I", WIRE_VERSION)),
         ("count", struct.pack("<I", record_count)),
     )
 
@@ -152,7 +151,7 @@ def record_header(name: str, elem_type: str, extents: tuple[int, ...]) -> Header
 
 def encode(checkpoint: Checkpoint) -> bytes:
     """Serialize a checkpoint to wire bytes."""
-    parts = [data for _, data in file_header(len(checkpoint.records), checkpoint.version)]
+    parts = [data for _, data in file_header(len(checkpoint.records))]
     for rec in checkpoint.records:
         parts.extend(data for _, data in record_header(rec.name, rec.elem_type, rec.extents))
         parts.append(rec.payload)
@@ -218,7 +217,7 @@ def _decode(cur: _Cursor) -> Checkpoint:
         raise TruncatedPayload(f"expected terminator 0xFF, found {terminator!r}")
     if cur.remaining:
         raise TruncatedPayload(f"{cur.remaining} trailing bytes after terminator")
-    return Checkpoint(records=tuple(records), version=version)
+    return Checkpoint(records=tuple(records))
 
 
 class ComparisonStatus(Enum):

@@ -1,34 +1,36 @@
 """Compile and execute generated programs; collect their timing lines.
 
 Every generated source, capture program or replay driver, is one
-translation unit: build() writes it as capture.c or driver.c into the
-workdir and compiles it alone into capture or driver there.  build() creates
-nothing outside the workdir.
+translation unit, compiled alone in a private directory that is removed
+when the compile ends; the binary's file mode and bytes are kept in memory.
+build() writes the source into the workdir as capture.c or driver.c and
+places the binary next to it as capture or driver, each as a new file
+(write_new).  No compile writes into a workdir, and build() leaves nothing
+outside it.
 
-build() compiles each distinct source once per process.  The memo is keyed
-by sha256 over (output name, source text, compiler_cmd, flags); the output
-name (driver or capture) stands for the kind.  A hit still writes the source
-into the new workdir, then only the binary: the bytes kept from the first
-compile, with that compile's file mode; it calls no compiler.  The bytes
-live in memory, so a candidate that replaces its own ./driver, or a deleted
-workdir, cannot change what a later hit gets.  A CompileFailure is kept too,
-and each hit raises a new one with the same message and stderr.  Not kept:
-ToolMissing and a compile that exits 0 without writing its output.  The
-default flags put no path into the output, so a hit gives the bytes a
-compile would have given; flags such as -g would keep the first workdir's
-path in the debug info.
+Each distinct source is compiled once per process.  The memo is keyed by
+sha256 over (output name, source text, compiler_cmd, flags); the output name
+(driver or capture) stands for the kind.  A hit calls no compiler: build()
+places the bytes kept from the first compile, with that compile's file
+mode.  The bytes live in memory, so a candidate that replaces its own
+./driver, or a deleted workdir, cannot change what a later hit gets.  A
+CompileFailure is kept too, and each hit raises a new one with the same
+message and stderr.  Not kept: ToolMissing and a compile that exits 0
+without writing its output.  The default flags put no path into the output,
+so a hit gives the bytes a compile would have given; flags such as -g would
+keep the private directory's path in the debug info.
 
 Compiles run on a module-level pool with one thread per usable core.
-start_build() writes the source into the workdir and queues its compile
-without waiting.  build() is start_build(), then a wait until no compile is
-queued or running, whoever started it, then the write of its binary.  So a
-caller that starts every build of a batch first has the whole batch
-compiled, on every core, inside its first build() call, and each later
-build() is a memo hit.  One workdir takes one source at a time.  A caller
-that can replace a source that fails passes start_build() an on_failure
-hook: it runs inside the failed compile's pool task, so the builds it starts
-are queued before that compile counts as done, and a wait for an idle pool
-(wait_idle(), build(), a timed run) also waits for them.
+start_build() queues a compile without waiting; it writes no file and
+creates no directory.  build() queues its compile, writes its source, waits
+until no compile is queued or running, whoever started it, then places its
+binary.  So a caller that starts every build of a batch first has the whole
+batch compiled, on every core, inside its first build() call, and each later
+build() is a memo hit.  A caller that can replace a source that fails passes
+start_build() an on_failure hook: it runs inside the failed compile's pool
+task, so the builds it starts are queued before that compile counts as
+done, and a wait for an idle pool (wait_idle(), build(), a timed run) also
+waits for them.
 
 Timed runs are serialized through a module-level lock so concurrent
 validation work cannot distort measurements, and each waits, holding that
@@ -54,6 +56,7 @@ import re
 import shlex
 import stat
 import subprocess
+import tempfile
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -179,29 +182,26 @@ def _compile(spec: BuildSpec, src_path: Path, out_path: Path) -> None:
         )
 
 
-def _place(kept: tuple[int, bytes] | CompileFailure | None, out_path: Path) -> None:
-    """Write a kept compile's bytes and mode to out_path, or raise a new copy of its failure."""
-    if isinstance(kept, CompileFailure):
-        raise CompileFailure(str(kept), stderr=kept.stderr)
-    if kept is not None:
-        mode, output = kept
-        # A new file, never one a candidate left behind (it may be a symlink).
-        out_path.unlink(missing_ok=True)
-        out_path.write_bytes(output)
-        out_path.chmod(mode)
+def write_new(path: Path, data: bytes) -> None:
+    """Write data to path as a new file, never through one a candidate left (it may be a link)."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
 
 
 def _compile_kept(
-    spec: BuildSpec, src_path: Path, out_path: Path
+    spec: BuildSpec, name: str, text: str
 ) -> tuple[int, bytes] | CompileFailure | None:
-    """Compile src_path into out_path; None when there is nothing to keep."""
-    try:
-        _compile(spec, src_path, out_path)
-    except CompileFailure as exc:
-        return exc
-    if not out_path.is_file():
-        return None
-    return (stat.S_IMODE(out_path.stat().st_mode), out_path.read_bytes())
+    """Compile text as <name>.c into <name> in a private directory; None if nothing to keep."""
+    with tempfile.TemporaryDirectory(prefix="pcaot-build-") as scratch:
+        src_path, out_path = Path(scratch) / f"{name}.c", Path(scratch) / name
+        src_path.write_bytes(text.encode("utf-8"))
+        try:
+            _compile(spec, src_path, out_path)
+        except CompileFailure as exc:
+            return exc
+        if not out_path.is_file():
+            return None
+        return (stat.S_IMODE(out_path.stat().st_mode), out_path.read_bytes())
 
 
 def _memo_task(
@@ -226,39 +226,21 @@ def _memo_task(
 
 
 def _submit(
-    text: str,
-    src_path: Path,
-    out_path: Path,
+    source: GeneratedSource,
     spec: BuildSpec,
     on_failure: Callable[[CompileFailure], None] | None = None,
 ) -> Future:
-    """Write text to src_path; the memo's future for out_path, queuing a compile on a miss."""
-    # A compile of this same text may be reading src_path: leave an equal file alone.
-    data = text.encode("utf-8")
-    if not (src_path.is_file() and src_path.read_bytes() == data):
-        src_path.write_bytes(data)
-    fields = [out_path.name, text, spec.compiler_cmd, list(spec.flags)]
+    """The memo's future for source's binary, queuing a compile on a miss."""
+    name = source.kind.value
+    fields = [name, source.text, spec.compiler_cmd, list(spec.flags)]
     key = hashlib.sha256(json.dumps(fields).encode("utf-8")).hexdigest()
     with _BUILDS_LOCK:
         future = _BUILDS.get(key)
         if future is None:
             future = _BUILDS[key] = _POOL.submit(
-                _memo_task, key, on_failure, spec, src_path, out_path
+                _memo_task, key, on_failure, spec, name, source.text
             )
     return future
-
-
-def _start(
-    source: GeneratedSource,
-    spec: BuildSpec,
-    on_failure: Callable[[CompileFailure], None] | None = None,
-) -> tuple[Future, Path]:
-    """start_build(); returns the binary's future and path."""
-    workdir = Path(spec.workdir).resolve()
-    workdir.mkdir(parents=True, exist_ok=True)
-    out_path = workdir / source.kind.value
-    binary = _submit(source.text, workdir / f"{source.kind.value}.c", out_path, spec, on_failure)
-    return binary, out_path
 
 
 def wait_idle() -> None:
@@ -276,11 +258,12 @@ def start_build(
     spec: BuildSpec,
     on_failure: Callable[[CompileFailure], None] | None = None,
 ) -> None:
-    """Write the source into the workdir and queue its compile; do not wait.
+    """Queue the source's compile; do not wait, and write no file.
 
     Queues what build() would compile, with the same memo: nothing for a
     source already built or queued in this process.  A later build() of the
-    same source and spec waits for it and writes the binary.
+    same source and spec waits for it and places the binary; spec.workdir
+    is not used here.
 
     When the compile this call queues fails, on_failure gets that
     CompileFailure inside this compile's pool task, so any build it starts
@@ -289,22 +272,33 @@ def start_build(
     Such a failure is not kept in the memo.  on_failure is not called for a
     source found in the memo.
     """
-    _start(source, spec, on_failure)
+    _submit(source, spec, on_failure)
 
 
 def build(source: GeneratedSource, spec: BuildSpec) -> Path:
     """Write the source into the workdir and compile it, once per distinct source.
 
-    A source already built in this process with the same kind, compiler_cmd
-    and flags is not compiled again: the bytes and file mode of its first
-    compile are written to the workdir, or its CompileFailure is raised again
-    (see the module docstring).  Before it writes the binary, build() waits
-    until no compile is queued or running, whichever build() or start_build()
-    queued it.  Returns the binary path; raises CompileFailure or ToolMissing.
+    Queues the compile, writes the source as a new <kind>.c in the workdir,
+    waits until no compile is queued or running, whichever build() or
+    start_build() queued it, and places the binary as a new <kind>.  A source
+    already built in this process with the same kind, compiler_cmd and flags
+    is not compiled again: the bytes and file mode of its first compile are
+    placed, or its CompileFailure is raised again (see the module docstring).
+    Returns the binary path; raises CompileFailure, ToolMissing or OSError.
     """
-    future, out_path = _start(source, spec)
+    future = _submit(source, spec)
+    workdir = Path(spec.workdir).resolve()
+    workdir.mkdir(parents=True, exist_ok=True)
+    write_new(workdir / f"{source.kind.value}.c", source.text.encode("utf-8"))
     wait_idle()
-    _place(future.result(), out_path)
+    kept = future.result()
+    if isinstance(kept, CompileFailure):
+        raise CompileFailure(str(kept), stderr=kept.stderr)
+    out_path = workdir / source.kind.value
+    if kept is not None:
+        mode, output = kept
+        write_new(out_path, output)
+        out_path.chmod(mode)
     return out_path
 
 

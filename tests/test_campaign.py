@@ -2,6 +2,7 @@ import errno
 import json
 import logging
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -987,7 +988,7 @@ def test_output_directory_rebuilds_a_driver(tmp_path):
 
 @needs_gcc
 def test_gcc_runs_once_per_distinct_driver(tmp_path):
-    spec, log = _logging_gcc(tmp_path)
+    spec, copies = _copying_gcc(tmp_path)
     job = _write_section(tmp_path)
     # Each strategy repeats itself; copyc hands back the serial code.
     mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": SYNTAX})
@@ -1012,16 +1013,14 @@ def test_gcc_runs_once_per_distinct_driver(tmp_path):
     }
     # One capture and the section driver of the 4 distinct bodies (serial =
     # copyc, SYNTAX, WRONG, GOOD).  It fails, so the SYNTAX body gets a
-    # driver of its own, built in the first directory that needs it, and
-    # the other three a new section driver.
+    # driver of its own, and the other three a new section driver.
+    assert _compiled(copies, _tiny_body_names()) == sorted([
+        ("capture", ()),
+        ("driver", ("serial", "SYNTAX", "WRONG", "GOOD")),
+        ("driver", ("SYNTAX",)),
+        ("driver", ("serial", "WRONG", "GOOD")),
+    ])
     section = outdir / "sections" / "tiny"
-    compiled = [str(Path(line).relative_to(section)) for line in log.read_text().splitlines()]
-    assert sorted(compiled) == [
-        "candidates/mock__CoT__1/driver.c",
-        "capture/capture.c",
-        "serial/driver.c",
-        "serial/driver.c",
-    ]
     # Every version that built still has its own source and binary.
     version_dirs = [section / "serial", *(section / "candidates").iterdir()]
     assert len(version_dirs) == 8
@@ -1038,6 +1037,38 @@ def _logging_gcc(tmp_path):
     script.write_text(f'#!/bin/sh\necho "$1" >> {log}\nexec gcc "$@"\n')
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
     return BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"), log
+
+
+def _copying_gcc(tmp_path, then=""):
+    # gcc that first copies its source into a new directory under copies/,
+    # then runs the shell lines then.
+    copies = tmp_path / "copies"
+    copies.mkdir()
+    script = tmp_path / "copying-gcc"
+    script.write_text(f'#!/bin/sh\ncp "$1" "$(mktemp -d {copies}/XXXXXX)"\n{then}exec gcc "$@"\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"), copies
+
+
+_BODY_RE = re.compile(
+    r"/\* pcaot: section body \*/\n(.*?)\n *\} while \(0\); /\* pcaot: end section body \*/", re.S
+)
+
+
+def _compiled(copies, names):
+    # Each compile _copying_gcc saw, as (its kind, the names of the bodies
+    # it holds, in driver order), sorted; names maps a body to its name.
+    return sorted(
+        (source.stem, tuple(names[body] for body in _BODY_RE.findall(source.read_text())))
+        for source in copies.glob("*/*.c")
+    )
+
+
+def _tiny_body_names(**responses):
+    # The tiny section's own body, and the code of each response, by name.
+    (serial,) = (s.body_text for s in extract_sections(SECTION_SOURCE, "tiny.c"))
+    named = {"GOOD": GOOD, "WRONG": WRONG, "SYNTAX": SYNTAX, **responses}
+    return {serial: "serial", **{extract_code(text): name for name, text in named.items()}}
 
 
 @needs_gcc
@@ -1091,14 +1122,10 @@ def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named)
     # gcc, except that every driver of several bodies (one with a body 1)
     # fails with one error line, which names no body or body 0.
     where = "driver.c" if named is None else f"pcaot_body_{named}.c"
-    script = tmp_path / "nosection-cc"
-    log = tmp_path / "gcc.log"
-    script.write_text(
-        f'#!/bin/sh\necho "$1" >> {log}\n'
-        f'if grep -q pcaot_body_1.c "$1"; then echo "{where}:1:1: error: no" >&2; exit 1; fi\n'
-        'exec gcc "$@"\n'
+    spec, copies = _copying_gcc(
+        tmp_path,
+        then=f'if grep -q pcaot_body_1.c "$1"; then echo "{where}:1:1: error: no" >&2; exit 1; fi\n',
     )
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
     static = GOOD.replace("reduction(+:total)", "reduction(+:total) schedule(static)")
     mock = CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": WRONG, "tiny/CoT": static})
     config = CampaignConfig(
@@ -1107,7 +1134,7 @@ def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named)
         attempts=1,
         timing_repeats=1,
         threads=1,
-        build=BuildSpec(compiler_cmd=f"{script} {{src}} -o {{out}}"),
+        build=spec,
     )
     outdir = tmp_path / "out"
     records = execute(plan(config), config, outdir)
@@ -1119,15 +1146,13 @@ def test_a_failed_section_driver_falls_back_to_one_body_drivers(tmp_path, named)
         ("mock", "IP"): ValidationStatus.PASS,
     }
     section = outdir / "sections" / "tiny"
-    compiled = [str(Path(line).relative_to(section)) for line in log.read_text().splitlines()]
-    alone = ["candidates/mock__CoT__1/driver.c", "candidates/mock__DIP__1/driver.c",
-             "candidates/mock__IP__1/driver.c", "serial/driver.c"]
+    bodies = ("serial", "static", "WRONG", "GOOD")
+    alone = [("driver", (body,)) for body in bodies]
     # Named: the serial body (0) alone and a new section driver for the
-    # other three, built in the first directory that needs it, which fails
-    # too.  Either way each body ends alone.
-    retried = [] if named is None else ["candidates/mock__CoT__1/driver.c"]
-    assert sorted(compiled) == sorted(
-        ["capture/capture.c", "serial/driver.c", *alone, *retried]
+    # other three, which fails too.  Either way each body ends alone.
+    retried = [] if named is None else [("driver", bodies[1:])]
+    assert _compiled(copies, _tiny_body_names(static=static)) == sorted(
+        [("capture", ()), ("driver", bodies), *alone, *retried]
     )
     for version_dir in (section / "serial", *(section / "candidates").iterdir()):
         assert (version_dir / "driver.args").read_text() == "0\n"
@@ -1605,7 +1630,31 @@ def test_a_path_planted_in_another_version_is_not_a_crash(tmp_path, caplog, plan
 
 
 @needs_gcc
-def test_a_section_driver_that_cannot_be_queued_falls_back_to_one_body_drivers(tmp_path, caplog):
+@pytest.mark.parametrize("planted", ["driver.c", "driver.args", "vecscale.out.ckpt"])
+def test_a_link_planted_in_another_version_is_replaced_not_written_through(tmp_path, planted):
+    # The CoT candidate links a file that the IP version's directory gets,
+    # from the harness or from IP's driver, to vecscale's captured input.
+    statement = (
+        '(void)system("mkdir -p ../mockllm__IP__1'
+        f' && ln -sf ../../capture/vecscale.in.ckpt ../mockllm__IP__1/{planted}");'
+    )
+    config = _sample_config({"vecscale/CoT": _vecscale_then(statement)})
+    clean = campaign.capture_section(config.sections[0], config, tmp_path / "clean")
+    outdir = tmp_path / "out"
+    statuses = _statuses(execute(plan(config), config, outdir))
+    assert len(statuses) == 15
+    assert set(statuses.values()) == {ValidationStatus.PASS}
+    section = outdir / "sections" / "vecscale"
+    assert not (section / "candidates" / "mockllm__IP__1" / planted).is_symlink()
+    captured = section / "capture" / "vecscale.in.ckpt"
+    assert captured.read_bytes() == clean.in_ckpt.read_bytes()
+
+
+@needs_gcc
+def test_a_directory_planted_at_a_driver_source_fails_only_its_version(
+    tmp_path, caplog, monkeypatch
+):
+    spec, log = _logging_gcc(tmp_path)
     config = CampaignConfig(
         sections=(_write_section(tmp_path),),
         llm_backends=(CountingMock("mock", {"tiny/IP": GOOD, "tiny/DIP": SYNTAX}),),
@@ -1613,14 +1662,18 @@ def test_a_section_driver_that_cannot_be_queued_falls_back_to_one_body_drivers(t
         attempts=1,
         timing_repeats=1,
         threads=1,
+        build=spec,
     )
     outdir = tmp_path / "out"
     execute(plan(config), config, outdir)
-    # The section driver of a resume goes to serial/, the first version's directory.
+    unplanted = len(log.read_text().splitlines())
+    # The serial's driver.c, in a resume that starts with an empty build memo.
     planted = outdir / "sections" / "tiny" / "serial" / "driver.c"
     planted.unlink()
     planted.mkdir()
     (outdir / "records.jsonl").unlink()
+    log.unlink()
+    monkeypatch.setattr(runner, "_BUILDS", {})
     records = execute(plan(config), config, outdir)
     assert {(r.tool, r.strategy): r.status for r in records} == {
         ("serial", None): ValidationStatus.RUNTIME_ERROR,
@@ -1628,6 +1681,7 @@ def test_a_section_driver_that_cannot_be_queued_falls_back_to_one_body_drivers(t
         ("mock", "IP"): ValidationStatus.PASS,
     }
     assert str(planted) in caplog.text
+    assert len(log.read_text().splitlines()) <= unplanted
 
 
 @needs_gcc
@@ -1741,9 +1795,7 @@ def test_version_directories_link_the_captured_input(tmp_path):
 @needs_gcc
 @pytest.mark.parametrize("planted", ["sumsqrt.out.ckpt", "capture.c"])
 def test_a_directory_planted_in_another_sections_capture_skips_it(tmp_path, caplog, planted):
-    statement = (
-        f'(void)system("cd ../../../sumsqrt/capture && rm -f {planted} && mkdir {planted}");'
-    )
+    statement = f'(void)system("mkdir -p ../../../sumsqrt/capture/{planted}");'
     config = _sample_config({"vecscale/CoT": _vecscale_then(statement)})
     outdir = tmp_path / "out"
     target = outdir / "sections" / "sumsqrt" / "capture" / planted

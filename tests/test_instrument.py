@@ -333,12 +333,12 @@ REJECT_MANIFEST = manifest_of(
 )
 
 
-def _reject_input(grid_name="grid", grid_type="f64", grid_extents=(3, 4), records=2, version=1):
+def _reject_input(grid_name="grid", grid_type="f64", grid_extents=(3, 4), records=2):
     grid = VarRecord.from_values(
         grid_name, grid_type, np.arange(12).reshape(grid_extents), extents=grid_extents
     )
     n = VarRecord.from_values("n", "i32", 7)
-    return encode(Checkpoint(records=(grid, n)[:records], version=version))
+    return encode(Checkpoint(records=(grid, n)[:records]))
 
 
 _GOOD_INPUT = _reject_input()
@@ -347,7 +347,8 @@ _GOOD_INPUT = _reject_input()
 REJECTIONS = {
     "truncated": (_GOOD_INPUT[:-5], "checkpoint truncated"),
     "bad_magic": (b"PCAX" + _GOOD_INPUT[4:], "bad checkpoint magic"),
-    "version_2": (_reject_input(version=2), "unsupported checkpoint version"),
+    "version_2": (_GOOD_INPUT[:4] + (2).to_bytes(4, "little") + _GOOD_INPUT[8:],
+                  "unsupported checkpoint version"),
     "record_count": (_reject_input(records=1), "unexpected checkpoint record count"),
     "wrong_name": (_reject_input(grid_name="grix"), "checkpoint variable order mismatch"),
     "wrong_type": (_reject_input(grid_type="f32"), "checkpoint element type mismatch"),

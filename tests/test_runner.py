@@ -6,7 +6,6 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,16 +93,17 @@ def _argv_logging_compiler(tmp_path):
 
 
 def _writing_compiler(tmp_path, delay_s=0):
-    # Appends each argv to a log, then sleeps delay_s.  A source containing
-    # FAIL fails with a message naming its path; any other source is written
-    # to {out}, followed by the output path, with mode 751.  The path in the
-    # bytes and in the message tells a kept result from a fresh compile.
+    # Appends each source's text, then its argv, to a log, then sleeps
+    # delay_s.  A source containing FAIL fails with a message naming its
+    # path; any other source is written to {out}, followed by the output
+    # path, with mode 751.  The path in the bytes and in the message tells a
+    # kept result from a fresh compile.
     script = tmp_path / "writecc"
     log = tmp_path / "argv.log"
     _executable(
         script,
         "#!/bin/sh\n"
-        f'echo "$@" >> {log}\n'
+        f'echo "$(cat "$1")" "$@" >> {log}\n'
         + (f"sleep {delay_s}\n" if delay_s else "")
         + 'if grep -q FAIL "$1"; then echo "writecc: cannot compile $1" >&2; exit 1; fi\n'
         '{ cat "$1"; echo "$3"; } > "$3"\n'
@@ -113,7 +113,7 @@ def _writing_compiler(tmp_path, delay_s=0):
 
 
 def _compiles(log):
-    # Each compiler call's argv.
+    # Each compiler call's log line, split at spaces.
     return [line.split() for line in log.read_text().splitlines()]
 
 
@@ -131,6 +131,58 @@ def test_build_creates_nothing_outside_its_workdir(tmp_path, monkeypatch):
     assert list(tmpdir.iterdir()) == []
 
 
+def _private_tmpdir(tmp_path, monkeypatch):
+    # An empty TMPDIR for this process and the compilers it starts.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+    return tmpdir
+
+
+@pytest.mark.parametrize("kind", list(SourceKind))
+def test_start_build_writes_no_file_and_build_writes_only_source_and_binary(
+    tmp_path, monkeypatch, kind
+):
+    tmpdir = _private_tmpdir(tmp_path, monkeypatch)
+    compiler_cmd, log = _writing_compiler(tmp_path)
+    spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "w")
+    runner.start_build(_source("a", kind=kind), spec)
+    runner.wait_idle()
+    assert len(_compiles(log)) == 1
+    assert not spec.workdir.exists()
+    assert list(tmpdir.iterdir()) == []
+    binary = build(_source("a", kind=kind), spec)
+    assert len(_compiles(log)) == 1
+    assert sorted(p.name for p in spec.workdir.iterdir()) == [kind.value, f"{kind.value}.c"]
+    assert binary == spec.workdir / kind.value
+    assert list(tmpdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("outcome", ["fails", "tool missing", "no output"])
+def test_a_compile_that_keeps_nothing_leaves_no_file_in_tmpdir(tmp_path, monkeypatch, outcome):
+    tmpdir = _private_tmpdir(tmp_path, monkeypatch)
+    if outcome == "fails":
+        compiler_cmd, _ = _writing_compiler(tmp_path)
+        source, raised = _source("FAIL"), CompileFailure
+    elif outcome == "tool missing":
+        compiler_cmd = "definitely-not-a-compiler-7f3a {src} -o {out}"
+        source, raised = _source("x"), ToolMissing
+    else:
+        compiler_cmd, _ = _argv_logging_compiler(tmp_path)
+        source, raised = _source("x"), None
+    spec = BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "w")
+    runner.start_build(source, spec)
+    runner.wait_idle()
+    assert list(tmpdir.iterdir()) == []
+    if raised is None:
+        assert not build(source, spec).exists()
+    else:
+        with pytest.raises(raised):
+            build(source, spec)
+    assert list(tmpdir.iterdir()) == []
+
+
 def test_identical_sources_compile_once(tmp_path):
     compiler_cmd, log = _writing_compiler(tmp_path)
     first = build(_source("a"), BuildSpec(compiler_cmd=compiler_cmd, workdir=tmp_path / "d0"))
@@ -138,9 +190,8 @@ def test_identical_sources_compile_once(tmp_path):
     assert len(_compiles(log)) == 1
     assert second.parent.name == "d1" and second.name == "driver"
     assert (tmp_path / "d1" / "driver.c").read_text() == "a"
-    # The first build's bytes (its own path included) and mode.
+    # The first build's bytes and mode.
     assert second.read_bytes() == first.read_bytes()
-    assert str(first).encode() in second.read_bytes()
     assert stat.S_IMODE(second.stat().st_mode) == 0o751
 
 
@@ -174,7 +225,8 @@ def test_compile_failure_is_kept(tmp_path):
     first, second = failures
     assert second is not first
     assert str(second) == str(first)
-    assert second.stderr == first.stderr == f"writecc: cannot compile {tmp_path / 'd0' / 'driver.c'}\n"
+    assert second.stderr == first.stderr
+    assert first.stderr.startswith("writecc: cannot compile /") and first.stderr.endswith("/driver.c\n")
 
 
 def test_hit_ignores_what_happens_to_the_first_workdir(tmp_path):
@@ -244,8 +296,8 @@ def test_concurrent_builds_compile_each_source_once(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(binaries) == len(threads) * len(texts)
-    compiled_in = sorted(Path(argv[0]).parent.name for argv in _compiles(log))
-    assert compiled_in == ["s0", "s1", "s2", "s3"]
+    compiled = sorted(line[0] for line in _compiles(log))
+    assert compiled == texts
     for (_, text), binary in binaries.items():
         assert binary.read_bytes().startswith(text.encode())
 
@@ -285,8 +337,9 @@ def test_run_passes_args_and_replaces_bytes_that_are_not_utf8(tmp_path):
 
 RENDEZVOUS_CC = """#!/bin/sh
 # A compiler that copies SRC to OUT.  A driver compile first announces
-# itself in MARKS and waits up to 5 s for a second one to arrive.
-touch "{marks}/$(basename "$(dirname "$1")")"
+# itself in MARKS, by its source text, and waits up to 5 s for a second one
+# to arrive.
+touch "{marks}/$(cat "$1")"
 i=0
 while [ "$(ls "{marks}" | wc -l)" -lt 2 ]; do
     i=$((i + 1))
