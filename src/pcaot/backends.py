@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import re
 import shlex
-import subprocess
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ import requests
 
 from .errors import ParseError, PcaotError
 from .instrument import C_TYPES
-from .runner import ToolMissing
+from .runner import ToolMissing, spawn
 from .sections import START_PRAGMA, STOP_PRAGMA, StateManifest, extract_sections
 
 API_KEY_ENV = "PCAOT_LLM_API_KEY"
@@ -356,19 +355,12 @@ def request_compiler(
     )
     command = shlex.split(driver.command.format(**fills))
     try:
-        proc = subprocess.run(
-            command,
-            cwd=workdir,
-            capture_output=True,
-            text=True,
-            errors="replace",
-            check=False,
-        )
+        result = spawn(command, workdir)
     except FileNotFoundError as exc:
         raise ToolMissing(f"compiler backend not found: {command[0]!r}") from exc
-    if proc.returncode != 0:
+    if result.exit_code != 0:
         raise ToolFailure(
-            f"{driver.tool_id} exited with code {proc.returncode}", stderr=proc.stderr
+            f"{driver.tool_id} exited with code {result.exit_code}", stderr=result.stderr
         )
     produced = Path(driver.output_path.format(**fills))
     if not produced.is_file():

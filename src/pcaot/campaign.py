@@ -89,7 +89,7 @@ from .pattern import (
     detect,
     has_any_directive,
 )
-from .report import _ensure_dir
+from .report import IoFailure, _ensure_dir
 from .runner import (
     BUILD_WORKERS,
     CompileFailure,
@@ -413,10 +413,12 @@ def _load_jsonl(path: Path, parse) -> list:
     return rows
 
 
-def _append_jsonl(path: Path, doc: dict) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc) + "\n")
-        handle.flush()
+def _open_rows(path: Path):
+    """Open path to append rows, each flushed as written; call it before any candidate runs."""
+    try:
+        return open(path, "a", encoding="utf-8", buffering=1)
+    except OSError as exc:
+        raise IoFailure(f"cannot open {path}: {exc}") from exc
 
 
 def _produce_one(
@@ -460,7 +462,8 @@ def produce_candidates(
     Rows already present in candidates.jsonl are not re-requested, so an
     interrupted campaign never repeats LLM calls.  Requests of every backend
     share one pool of config.max_inflight workers; rows are persisted in
-    plan order.  Raises ParseError, before any backend is asked, when two
+    plan order, through one handle opened before any backend is asked
+    (_open_rows).  Raises ParseError, before any backend is asked, when two
     sections share an id or a sections/ directory (_safe_name).
     """
     return _produce(config, outdir, experiment)[1]
@@ -490,7 +493,7 @@ def _produce(config: CampaignConfig, outdir: Path, experiment: ExperimentPlan | 
     path = outdir / "candidates.jsonl"
     rows: dict[tuple, CandidateRow] = {r.key(): r for r in _load_jsonl(path, CandidateRow.from_dict)}
     backends = {b.tool_id: b for b in (*config.llm_backends, *config.compiler_backends)}
-    with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
+    with _open_rows(path) as rows_file, ThreadPoolExecutor(config.max_inflight) as pool:
         for ctx in loaded:
             missing = [
                 origin
@@ -502,7 +505,7 @@ def _produce(config: CampaignConfig, outdir: Path, experiment: ExperimentPlan | 
             )
             for row in produced:
                 rows[row.key()] = row
-                _append_jsonl(path, row.to_dict())
+                rows_file.write(json.dumps(row.to_dict()) + "\n")
     return loaded, rows
 
 
@@ -799,64 +802,66 @@ def execute(experiment: ExperimentPlan, config: CampaignConfig, outdir: Path) ->
     Speedups are taken only against a serial that Passed.  Returns records
     in deterministic order: sections in plan order, the serial baseline
     first, then candidates by (tool, strategy, attempt).  Existing
-    records.jsonl rows are reused, new ones appended.
+    records.jsonl rows are reused, and new ones appended through one handle
+    opened before any candidate is produced (_open_rows).
     """
     if not experiment.jobs:
         raise EmptyCampaign("experiment plan lists no sections")
     outdir = _ensure_dir(outdir)
     records_path = outdir / "records.jsonl"
     existing = {r.key(): r for r in _load_jsonl(records_path, OutcomeRecord.from_dict)}
-    loaded, rows = _produce(config, outdir, experiment)
-    queued = [(ctx, *_queue_section(ctx, config, experiment, rows, existing)) for ctx in loaded]
-    drivers = _Drivers(config)
-    drivers.queue([(ctx, bodies) for ctx, _, bodies in queued])
-    records: list[OutcomeRecord] = []
+    with _open_rows(records_path) as records_file:
+        loaded, rows = _produce(config, outdir, experiment)
+        queued = [(ctx, *_queue_section(ctx, config, experiment, rows, existing)) for ctx in loaded]
+        drivers = _Drivers(config)
+        drivers.queue([(ctx, bodies) for ctx, _, bodies in queued])
+        records: list[OutcomeRecord] = []
 
-    for ctx, versions, _ in queued:
-        sid = ctx.manifest.section_id
-        recorded = [existing.get(_key(sid, origin)) for origin, _ in versions]
-        if None not in recorded:
-            records.extend(recorded)
-            continue
-        try:
-            ctx = _capture(ctx, config, outdir)
-        except CaptureFailure as exc:
-            log.warning("section skipped: %s", exc)
-            continue
-        serial_median = None
-        timeout_s = _candidate_timeout(config, ctx.capture_wall_ns)
-        input_changed = False
-        for (origin, code), record in zip(versions, recorded):
-            is_serial = origin.tool_id == SERIAL_TOOL_ID
-            if record is None:
-                status, median, wall = ValidationStatus.EXTRACTION_ERROR, None, None
-                if code is not None and input_changed:
-                    try:
-                        ctx = _capture(ctx, config, outdir)
-                    except CaptureFailure as exc:
-                        log.warning("section stopped: %s", exc)
-                        break
-                    input_changed = False
-                if code is not None:
-                    driver, argv = drivers.driver(sid, code)
-                    scratch = _version_dir(outdir, sid, origin)
-                    status, median, wall, input_changed = _validate_code(
-                        driver, argv, code, ctx, config, scratch, timeout_s
-                    )
-                baseline = median if is_serial else serial_median
-                record = _make_record(ctx, origin, code, status, median, baseline, wall)
-                _append_jsonl(records_path, record.to_dict())
-            records.append(record)
-            if not is_serial:
+        for ctx, versions, _ in queued:
+            sid = ctx.manifest.section_id
+            recorded = [existing.get(_key(sid, origin)) for origin, _ in versions]
+            if None not in recorded:
+                records.extend(recorded)
                 continue
-            if record.status is ValidationStatus.PASS:
-                serial_median = record.median_time_ns
-            else:
-                log.warning(
-                    "serial baseline for %r did not validate (%s); speedups unavailable",
-                    sid,
-                    record.status.value,
-                )
-            if record.run_wall_ns is not None:
-                timeout_s = _candidate_timeout(config, record.run_wall_ns)
-    return records
+            try:
+                ctx = _capture(ctx, config, outdir)
+            except CaptureFailure as exc:
+                log.warning("section skipped: %s", exc)
+                continue
+            serial_median = None
+            timeout_s = _candidate_timeout(config, ctx.capture_wall_ns)
+            input_changed = False
+            for (origin, code), record in zip(versions, recorded):
+                is_serial = origin.tool_id == SERIAL_TOOL_ID
+                if record is None:
+                    status, median, wall = ValidationStatus.EXTRACTION_ERROR, None, None
+                    if code is not None and input_changed:
+                        try:
+                            ctx = _capture(ctx, config, outdir)
+                        except CaptureFailure as exc:
+                            log.warning("section stopped: %s", exc)
+                            break
+                        input_changed = False
+                    if code is not None:
+                        driver, argv = drivers.driver(sid, code)
+                        scratch = _version_dir(outdir, sid, origin)
+                        status, median, wall, input_changed = _validate_code(
+                            driver, argv, code, ctx, config, scratch, timeout_s
+                        )
+                    baseline = median if is_serial else serial_median
+                    record = _make_record(ctx, origin, code, status, median, baseline, wall)
+                    records_file.write(json.dumps(record.to_dict()) + "\n")
+                records.append(record)
+                if not is_serial:
+                    continue
+                if record.status is ValidationStatus.PASS:
+                    serial_median = record.median_time_ns
+                else:
+                    log.warning(
+                        "serial baseline for %r did not validate (%s); speedups unavailable",
+                        sid,
+                        record.status.value,
+                    )
+                if record.run_wall_ns is not None:
+                    timeout_s = _candidate_timeout(config, record.run_wall_ns)
+        return records

@@ -1,5 +1,8 @@
 """Compile and execute generated programs; collect their timing lines.
 
+Every child process of the package, compile, capture, driver run or
+compiler backend, is started by spawn(); callers map only its errors.
+
 Every generated source, capture program or replay driver, is one
 translation unit, compiled alone in a private directory that is removed
 when the compile ends; the binary's file mode and bytes are kept in memory.
@@ -59,7 +62,7 @@ import subprocess
 import tempfile
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,15 +173,13 @@ def _compile(spec: BuildSpec, src_path: Path, out_path: Path) -> None:
     command = shlex.split(spec.compiler_cmd.format(src=str(src_path), out=str(out_path)))
     command.extend(spec.flags)
     try:
-        proc = subprocess.run(
-            command, cwd=src_path.parent, capture_output=True, text=True, check=False
-        )
+        result = spawn(command, src_path.parent)
     except FileNotFoundError as exc:
         raise ToolMissing(f"compiler not found: {command[0]!r}") from exc
-    if proc.returncode != 0:
+    if result.exit_code != 0:
         raise CompileFailure(
-            f"compile of {src_path.name} failed with exit code {proc.returncode}",
-            stderr=proc.stderr,
+            f"compile of {src_path.name} failed with exit code {result.exit_code}",
+            stderr=result.stderr,
         )
 
 
@@ -302,6 +303,34 @@ def build(source: GeneratedSource, spec: BuildSpec) -> Path:
     return out_path
 
 
+def _decode(output: bytes | None) -> str:
+    text = (output or b"").decode("utf-8", errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def spawn(
+    argv: Sequence[str],
+    cwd: Path,
+    env: Mapping[str, str] | None = None,
+    timeout_s: float | None = None,
+) -> RunResult:
+    """Run argv in cwd with env (None: this process's environment); capture its output.
+
+    On timeout the process is killed, and the result is timed out, with no
+    exit code and what it had printed; a child left holding its pipes is not
+    waited for.  Output is decoded as text=True with errors="replace" would:
+    UTF-8 with replacement characters, \r\n and \r read as \n.  Raises OSError.
+    """
+    start = time.monotonic_ns()
+    try:
+        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=timeout_s)
+        exit_code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    except subprocess.TimeoutExpired as exc:
+        exit_code, stdout, stderr = None, exc.stdout, exc.stderr
+    wall = time.monotonic_ns() - start
+    return RunResult(exit_code, _decode(stdout), _decode(stderr), wall, timed_out=exit_code is None)
+
+
 def run(
     binary: Path,
     timeout_s: float = 60.0,
@@ -310,12 +339,12 @@ def run(
 ) -> RunResult:
     """Execute a binary, with args as its arguments, in its own directory under a timeout.
 
-    The process is killed on timeout; its partial output is kept.  Output
-    that is not UTF-8 is decoded with replacement characters.  Timed runs
-    execute one at a time process-wide, and each starts its clock only once
-    no compile is queued or running.  The child gets OMP_PLACEMENT, which
-    replaces any inherited OMP_PROC_BIND and OMP_PLACES so that an OpenMP
-    team spreads over the usable cores; a key in env still wins.
+    It runs through spawn(), which says what a timeout returns and how output
+    is decoded.  Timed runs execute one at a time process-wide, and each
+    starts its clock only once no compile is queued or running.  The child
+    gets OMP_PLACEMENT, which replaces any inherited OMP_PROC_BIND and
+    OMP_PLACES so that an OpenMP team spreads over the usable cores; a key
+    in env still wins.  Raises SpawnFailure when the binary cannot start.
     """
     binary = Path(binary)
     full_env = dict(os.environ)
@@ -325,39 +354,10 @@ def run(
         full_env.update({k: str(v) for k, v in env.items()})
     with _TIMED_RUN_LOCK:
         wait_idle()
-        start = time.monotonic_ns()
         try:
-            proc = subprocess.Popen(
-                [str(binary), *args],
-                cwd=binary.parent,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                errors="replace",
-                env=full_env,
-            )
+            return spawn([str(binary), *args], binary.parent, full_env, timeout_s)
         except OSError as exc:
             raise SpawnFailure(f"cannot start {binary}: {exc}") from exc
-        try:
-            stdout, stderr = proc.communicate(timeout=timeout_s)
-            timed_out = False
-            exit_code: int | None = proc.returncode
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            try:
-                stdout, stderr = proc.communicate(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                stdout, stderr = "", ""
-            timed_out = True
-            exit_code = None
-        wall = time.monotonic_ns() - start
-    return RunResult(
-        exit_code=exit_code,
-        stdout=stdout or "",
-        stderr=stderr or "",
-        wall_time_ns=wall,
-        timed_out=timed_out,
-    )
 
 
 def collect_timing(result: RunResult, expected: int | None = None) -> TimingSample:

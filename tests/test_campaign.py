@@ -1809,6 +1809,61 @@ def test_a_directory_planted_in_another_sections_capture_skips_it(tmp_path, capl
         caplog.clear()
 
 
+@needs_gcc
+def test_a_section_whose_capture_fails_again_stops(tmp_path, caplog):
+    # The CoT candidate changes vecscale's input, so the section is captured
+    # again before DIP, and that capture fails on a directory at capture.c.
+    statement = (
+        '(void)system("cp ../../capture/vecscale.out.ckpt ../../capture/vecscale.in.ckpt'
+        ' && rm -f ../../capture/capture.c && mkdir ../../capture/capture.c");'
+    )
+    config = _sample_config({"vecscale/CoT": _vecscale_then(statement)})
+    statuses = _statuses(execute(plan(config), config, tmp_path / "out"))
+    assert len(statuses) == 13
+    vecscale = {key: status for key, status in statuses.items() if key[0] == "vecscale"}
+    assert vecscale == {
+        ("vecscale", "serial", None): ValidationStatus.PASS,
+        ("vecscale", "copyc", None): ValidationStatus.PASS,
+        ("vecscale", "mockllm", "CoT"): ValidationStatus.RUNTIME_ERROR,
+    }
+    assert "section stopped: capture build failed for 'vecscale'" in caplog.text
+
+
+@needs_gcc
+def test_a_replaced_records_file_is_not_a_crash(tmp_path):
+    # The rows written after the replacement go to the deleted file, not to disk.
+    statement = '(void)system("rm -f ../../../../records.jsonl; mkdir ../../../../records.jsonl");'
+    config = _sample_config({"vecscale/CoT": _vecscale_then(statement)})
+    outdir = tmp_path / "out"
+    records = execute(plan(config), config, outdir)
+    assert len(records) == 15
+    assert (outdir / "records.jsonl").is_dir()
+
+
+# gcc quotes the header line it warns about, with its byte that is not UTF-8.
+LATIN1_HEADER = b'static int helper(void) { return (int)strlen("caf\xe9"); }\n'
+
+
+@needs_gcc
+def test_compiler_output_that_is_not_utf8_is_not_a_crash(tmp_path):
+    (tmp_path / "x.h").write_bytes(LATIN1_HEADER)
+    source = SECTION_SOURCE.replace(
+        "#include <stdio.h>\n", '#include <stdio.h>\n#include "x.h"\n'
+    ).replace('printf("%f\\n", total);', 'printf("%f %d\\n", total, helper());')
+    assert "helper()" in source
+    # The capture compiles in a private directory: gcc finds x.h through -iquote.
+    flags = (*runner.DEFAULT_FLAGS, "-iquote", str(tmp_path))
+    config = CampaignConfig(
+        sections=(_write_program(tmp_path, source, SECTION_MANIFEST),),
+        llm_backends=(),
+        timing_repeats=1,
+        threads=1,
+        build=BuildSpec(flags=flags),
+    )
+    records = execute(plan(config), config, tmp_path / "out")
+    assert [(r.tool, r.status) for r in records] == [("serial", ValidationStatus.PASS)]
+
+
 # sumsqrt's loop with one more statement in it: a sum 2e6 too large.
 SUMSQRT_STEP = "        s += sqrt(a[i] * a[i] + 1.0);\n"
 WRONG_SUMSQRT = (

@@ -224,6 +224,28 @@ def test_capture_stage_alone(tmp_path, capsys):
     assert (tmp_path / "sections" / "vecscale" / "capture" / "vecscale.out.ckpt").is_file()
 
 
+@needs_gcc
+def test_capture_exits_one_when_a_capture_fails(tmp_path, capsys):
+    # vecscale is captured; the second section's source does not exist.
+    config = tmp_path / "campaign.json"
+    sections = [
+        {"source": str(SAMPLES / "vecscale.c"), "manifest": str(SAMPLES / "vecscale.manifest.json")},
+        {"source": str(tmp_path / "missing.c"), "manifest": str(SAMPLES / "sumsqrt.manifest.json")},
+    ]
+    config.write_text(json.dumps({"sections": sections}))
+    out = tmp_path / "out"
+    assert main(["capture", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("captured vecscale: ")
+    assert (out / "sections" / "vecscale" / "capture" / "vecscale.out.ckpt").is_file()
+
+
+def test_optimize_stage_alone(tmp_path, capsys):
+    code = main(["optimize", "--config", str(SAMPLES / "campaign.json"), "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("candidates: 12 produced, 0 errored ")
+    assert len((tmp_path / "candidates.jsonl").read_text().splitlines()) == 12
+
+
 def test_console_entry_point_help():
     exe = shutil.which("pcaot")
     if exe is None:

@@ -1,6 +1,8 @@
-"""The names the benchmark under perfbench/ resolves through pcaot.campaign, and
-the import direction of the modules around it (config <- report <- campaign)."""
+"""The names the benchmark under perfbench/ resolves through pcaot.campaign, the
+import direction of the modules around it (config <- report <- campaign), and
+the one module that starts child processes (runner)."""
 
+import ast
 import subprocess
 import sys
 
@@ -68,3 +70,18 @@ def test_config_and_report_do_not_import_the_pipeline():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_only_the_runner_imports_subprocess():
+    importers = set()
+    for path in (REPO_ROOT / "src" / "pcaot").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "subprocess" for module in modules):
+                importers.add(path.stem)
+    assert importers == {"runner"}

@@ -73,6 +73,12 @@ def test_region_with_two_fors_is_pr_not_po():
     assert detect(code) == {PatternLabel.PR}
 
 
+def test_a_braceless_region_is_its_next_statement_past_nested_pragmas():
+    # The region of a parallel without braces skips the omp for line to its loop.
+    code = "#pragma omp parallel\n#pragma omp for\nfor (i = 0; i < n; i++) a[i] = 0;\n"
+    assert detect(code) == {PatternLabel.PO}
+
+
 def test_keyword_in_body_is_not_a_call():
     # if/while/for/sizeof look like calls to a naive scanner.
     code = (

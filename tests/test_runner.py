@@ -1,5 +1,7 @@
+import contextlib
 import os
 import shutil
+import signal
 import stat
 import sys
 import tempfile
@@ -402,6 +404,41 @@ def test_run_kills_on_timeout(workdir):
     assert result.timed_out
     assert result.exit_code is None
     assert elapsed < 30.0
+
+
+@pytest.fixture
+def grandchild(tmp_path):
+    """A file for a script to write a background child's pid to; the child is killed after."""
+    pid_file = tmp_path / "grandchild.pid"
+    yield pid_file
+    if pid_file.exists():
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+def test_a_timed_out_run_keeps_its_output_and_does_not_wait_for_a_pipe_holder(
+    tmp_path, grandchild
+):
+    # The backgrounded sleep inherits the script's stdout and stderr.
+    probe = _executable(
+        tmp_path / "probe",
+        f"#!/bin/sh\necho partial\nsleep 8 &\necho $! > {grandchild}\nwhile :; do :; done\n",
+    )
+    started = time.monotonic()
+    result = run(probe, timeout_s=1.0)
+    assert time.monotonic() - started < 2.0
+    assert result.timed_out
+    assert result.exit_code is None
+    assert result.stdout == "partial\n"
+
+
+def test_spawn_decodes_as_text_mode_does_and_raises_oserror(tmp_path):
+    probe = _executable(tmp_path / "probe", '#!/bin/sh\nprintf "a\\r\\nb\\rc\\351" >&2\n')
+    result = runner.spawn([str(probe)], tmp_path)
+    assert (result.exit_code, result.stdout, result.stderr) == (0, "", "a\nb\nc\ufffd")
+    assert not result.timed_out
+    with pytest.raises(FileNotFoundError):
+        runner.spawn([str(tmp_path / "missing")], tmp_path)
 
 
 @needs_gcc
